@@ -27,13 +27,8 @@ from pathlib import Path
 from repro.experiments import (
     ablation_sketches,
     ablation_stopping,
-    backend_bench,
-    candidate_bench,
     figure2,
     figure3,
-    index_bench,
-    parallel_bench,
-    rs_bench,
     serve_bench,
     table1,
     table2,
@@ -134,35 +129,6 @@ def main() -> None:
         "Ablation — sketch filter",
         "ablation-sketches",
         ablation_sketches.run(scale=args.scale, seed=args.seed),
-    )
-    section(
-        "Backend micro-benchmark — python vs numpy execution backend",
-        "backend-bench",
-        backend_bench.run(scale=args.scale, seed=args.seed),
-    )
-    section(
-        "R ⋈ S benchmark — native side-aware path vs union self-join fallback",
-        "rs-bench",
-        rs_bench.run(scale=args.scale, seed=args.seed),
-    )
-    section(
-        "Index benchmark — build-once/query-many vs repeated batch re-join",
-        "index-bench",
-        index_bench.run(scale=args.scale, seed=args.seed),
-    )
-    section(
-        "Parallel benchmark — threads vs shared-memory process executor",
-        None,
-        parallel_bench.run(
-            scale=args.scale, seed=args.seed, out_json=str(json_dir / "BENCH_parallel.json")
-        ),
-    )
-    section(
-        "Candidate benchmark — array frontier walk vs scalar recursion",
-        None,
-        candidate_bench.run(
-            scale=args.scale, seed=args.seed, out_json=str(json_dir / "BENCH_candidate.json")
-        ),
     )
     section(
         "Serving benchmark — throughput/latency vs query-coalescing settings",

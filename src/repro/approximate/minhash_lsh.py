@@ -20,17 +20,16 @@ coordinates are fixed, so the join supports the same parallel execution as
 the CPSJOIN repetition engine: all rounds' coordinates are drawn serially
 up front (preserving the exact randomness consumption of a sequential run),
 the rounds are dealt into shards, and each shard runs through its own
-staged engine on a thread pool or — via the shared-memory
-:class:`repro.store.RecordStore` — on worker processes that attach the
-collection zero-copy.  The merged pair set is bit-for-bit identical to the
-sequential run for every ``workers`` / ``executor`` combination.
+staged engine on a worker process that attaches the collection zero-copy
+through the shared-memory :class:`repro.store.RecordStore`.  The merged pair
+set is bit-for-bit identical to the sequential run for every ``workers`` /
+``executor`` combination.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,11 +84,7 @@ class MinHashBucketStage(CandidateStage):
     def tasks(self) -> Iterator[Task]:
         for coordinates in self.coordinate_rounds:
             for bucket in self.join._bucketize(self.collection, coordinates):
-                # Vectorized bucketing yields index arrays, the dict loop
-                # yields lists; the filter stages accept either payload.
-                yield SubsetCandidates(
-                    bucket if isinstance(bucket, np.ndarray) else tuple(bucket)
-                )
+                yield SubsetCandidates(bucket)
             if self.count_repetitions:
                 self.stats.repetitions += 1
 
@@ -114,15 +109,14 @@ class MinHashLSHJoin:
     seed:
         Seed for coordinate sampling (and preprocessing when needed).
     backend:
-        Execution backend for the bucket brute-forcing (``"python"`` /
-        ``"numpy"``); identical results either way.
+        Execution backend for the bucket brute-forcing; ``"numpy"`` (or
+        ``None``) is the only one.
     workers:
         Parallel workers executing the bucketing rounds (1 = sequential).
         The merged pair set is seed-deterministic for any worker count.
     executor:
-        ``"serial"`` / ``"threads"`` / ``"processes"`` — how round shards are
-        dispatched when ``workers > 1`` (see
-        :mod:`repro.core.repetition`).
+        ``"processes"`` (default) / ``"serial"`` — how round shards are
+        dispatched when ``workers > 1`` (see :mod:`repro.core.repetition`).
     measure:
         Similarity measure verification scores under (name, instance or
         ``None`` for Jaccard).  Bucketing collision probabilities are driven
@@ -156,7 +150,7 @@ class MinHashLSHJoin:
             raise ValueError("target_recall must be in (0, 1)")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        executor = "threads" if executor is None else str(executor).lower()
+        executor = "processes" if executor is None else str(executor).lower()
         if executor not in EXECUTOR_NAMES:
             raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTOR_NAMES}")
         self.threshold = threshold
@@ -235,13 +229,13 @@ class MinHashLSHJoin:
         coordinate_rounds: List[np.ndarray],
         stats: JoinStats,
     ) -> JoinResult:
-        """Deal the rounds into shards and run them on parallel workers.
+        """Deal the rounds into shards and run them on worker processes.
 
         Every shard runs the standard staged pipeline over its own engine;
         shard results are merged in shard order (counters are per-round sums,
         so the totals are identical to a sequential run).
         """
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
         from repro.core.repetition import process_pool_context, shard_round_robin
 
@@ -249,26 +243,18 @@ class MinHashLSHJoin:
         shards = [[coordinate_rounds[index] for index in shard] for shard in shard_ids]
         pairs: set = set()
         with Timer() as timer:
-            if self.executor == "processes":
-                lease = collection.to_shared()
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=len(shards), mp_context=process_pool_context()
-                    ) as pool:
-                        futures = [
-                            pool.submit(_minhash_shard_worker, lease.handle, self, shard)
-                            for shard in shards
-                        ]
-                        results = [future.result() for future in futures]
-                finally:
-                    lease.close()
-            else:  # threads
-                with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+            lease = collection.to_shared()
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=len(shards), mp_context=process_pool_context()
+                ) as pool:
                     futures = [
-                        pool.submit(self._execute_rounds, collection, shard)
+                        pool.submit(_minhash_shard_worker, lease.handle, self, shard)
                         for shard in shards
                     ]
                     results = [future.result() for future in futures]
+            finally:
+                lease.close()
             for result in results:
                 pairs |= result.pairs
                 stats.merge(result.stats)
@@ -359,30 +345,20 @@ class MinHashLSHJoin:
         """Sample one round's ``k`` distinct signature coordinates."""
         return rng.choice(num_functions, size=min(k, num_functions), replace=False)
 
+    @staticmethod
     def _bucketize(
-        self, collection: PreprocessedCollection, coordinates: np.ndarray
-    ) -> Sequence[Sequence[int]]:
+        collection: PreprocessedCollection, coordinates: np.ndarray
+    ) -> List[np.ndarray]:
         """Split the collection into buckets keyed by the concatenated MinHash values.
 
-        On the numpy backend the grouping runs column-wise through
+        The grouping runs column-wise through
         :func:`repro.backend.kernels.group_rows_first_occurrence` — one
         stable multi-column lexsort instead of hashing one row tuple per
-        record — and returns index arrays.  The dict loop below is the
-        reference semantics; both produce the identical bucket sequence
-        (first-occurrence bucket order, members in record order, buckets of
-        fewer than two records dropped).
+        record.  Buckets come in first-occurrence order with members in
+        record order, and buckets of fewer than two records are dropped.
         """
         keys = collection.signatures.matrix[:, coordinates]
-        if self._vectorized_bucketize():
-            return group_rows_first_occurrence(keys, min_size=2)
-        groups: Dict[Tuple[int, ...], List[int]] = defaultdict(list)
-        for record_id in range(collection.num_records):
-            groups[tuple(int(value) for value in keys[record_id])].append(record_id)
-        return [bucket for bucket in groups.values() if len(bucket) >= 2]
-
-    def _vectorized_bucketize(self) -> bool:
-        """Whether bucketing may use the column-wise grouping kernel."""
-        return self.backend is not None and str(self.backend).lower() == "numpy"
+        return group_rows_first_occurrence(keys, min_size=2)
 
 
 def minhash_lsh_join(

@@ -1,50 +1,37 @@
-"""Pluggable execution backends for the verification hot paths.
+"""The execution backend of the verification hot paths.
 
-``make_backend`` is the registry entry point used by
-:class:`repro.core.bruteforce.BruteForcer` and the LSH baselines::
+``make_backend`` binds :class:`~repro.backend.execution.ExecutionBackend` to
+a collection; it is the one factory every join (through
+:class:`repro.engine.JoinEngine`) and :class:`repro.core.bruteforce.BruteForcer`
+call::
 
     backend = make_backend("numpy", collection, threshold)
 
-Two backends ship with the reproduction:
-
-* ``"python"`` — :class:`~repro.backend.python_backend.PythonBackend`, the
-  seed's per-pair verification semantics (reference implementation).
-* ``"numpy"`` — :class:`~repro.backend.numpy_backend.NumpyBackend`,
-  vectorized block verification over CSR-packed token arrays.
-
-Both produce identical verified pair sets and statistics; they differ only
-in throughput.  See ``tests/backend`` for the equivalence suite.
+``"numpy"`` is the only backend name.  The ``backend=`` arguments of the
+public API accept it (or ``None``) and reject anything else.  The scalar
+reference kernels the backend is tested against live in ``tests/oracles``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type, Union
+from typing import Optional, Union
 
-from repro.backend.base import ExecutionBackend
-from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.python_backend import PythonBackend
+from repro.backend.execution import ExecutionBackend
 from repro.core.preprocess import PreprocessedCollection
 from repro.similarity.measures import Measure
 
-__all__ = [
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
-    "ExecutionBackend",
-    "NumpyBackend",
-    "PythonBackend",
-    "make_backend",
-]
+__all__ = ["ExecutionBackend", "check_backend", "make_backend"]
 
-_REGISTRY: Dict[str, Type[ExecutionBackend]] = {
-    PythonBackend.name: PythonBackend,
-    NumpyBackend.name: NumpyBackend,
-}
 
-BACKEND_NAMES = tuple(sorted(_REGISTRY))
-"""Names accepted by ``backend=`` arguments throughout the library."""
+def check_backend(backend: Optional[str]) -> str:
+    """Validate a ``backend=`` argument; returns the backend name.
 
-DEFAULT_BACKEND = PythonBackend.name
-"""Backend used when none is requested (the reference semantics)."""
+    ``None`` and ``"numpy"`` (any case) are accepted; anything else raises
+    :class:`ValueError` naming the one choice.
+    """
+    if backend is None or str(backend).lower() == ExecutionBackend.name:
+        return ExecutionBackend.name
+    raise ValueError(f"unknown backend {backend!r}; the only backend is {ExecutionBackend.name!r}")
 
 
 def make_backend(
@@ -53,14 +40,13 @@ def make_backend(
     threshold: float,
     measure: Optional[Union[str, Measure]] = None,
 ) -> ExecutionBackend:
-    """Resolve a backend name (or pass through an instance) for a collection.
+    """Bind the execution backend to a collection (or pass an instance through).
 
     Parameters
     ----------
     backend:
-        A registered backend name (``"python"`` / ``"numpy"``), an already
-        constructed :class:`ExecutionBackend` (returned as-is), or ``None``
-        for :data:`DEFAULT_BACKEND`.
+        ``"numpy"`` or ``None`` for a new backend over ``collection``, or an
+        already constructed :class:`ExecutionBackend` (returned as-is).
     collection, threshold:
         The preprocessed collection and similarity threshold the kernels
         bind to.
@@ -71,7 +57,5 @@ def make_backend(
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = DEFAULT_BACKEND if backend is None else str(backend).lower()
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")
-    return _REGISTRY[name](collection, threshold, measure)
+    check_backend(backend)
+    return ExecutionBackend(collection, threshold, measure)

@@ -1,37 +1,47 @@
-"""Execution-backend interface for the verification hot paths.
+"""The execution backend: filter, verify and estimate kernels over one collection.
 
 Every join in the repository funnels its candidate pairs through the same
 three-stage check (size-compatibility probe, 1-bit minwise sketch filter,
 exact verification on the token sets) and estimates average similarities for
-the adaptive BRUTEFORCE rule.  An :class:`ExecutionBackend` bundles those
-kernels behind one interface so the policy layers (:class:`~repro.core.bruteforce.BruteForcer`,
-the LSH baselines) stay agnostic of *how* the arithmetic is executed:
+the adaptive BRUTEFORCE rule.  :class:`ExecutionBackend` bundles those
+kernels so the policy layers (:class:`~repro.core.bruteforce.BruteForcer`,
+the staged :class:`~repro.engine.JoinEngine`, the LSH baselines) stay
+agnostic of how the arithmetic is executed.  The hot loops run over whole
+candidate blocks:
 
-* :class:`~repro.backend.python_backend.PythonBackend` verifies candidates
-  one pair at a time with the early-terminating merge of
-  :func:`repro.similarity.verify.verify_pair_sorted` — the seed semantics.
-* :class:`~repro.backend.numpy_backend.NumpyBackend` reads the CSR-packed
-  token arrays straight out of the collection's
-  :class:`repro.store.RecordStore` and verifies whole candidate blocks with
-  vectorized ``searchsorted`` intersections — zero-copy even when the store
-  lives in a shared-memory segment attached by a worker process.
+* Token sets are read as CSR-packed arrays straight out of the collection's
+  :class:`repro.store.RecordStore` — zero-copy even when the store lives in a
+  shared-memory segment attached by a worker process.  The intersection of
+  one record with a block of candidates is a single ``searchsorted`` over the
+  concatenated candidate tokens followed by a segmented sum
+  (:func:`repro.backend.kernels.csr_overlaps_one_to_many`, shared with the
+  :class:`repro.index.SimilarityIndex` query kernels).
+* The BRUTEFORCEPAIRS filter stage materializes the upper triangle of a
+  subproblem and applies the size probe and the 1-bit sketch Hamming filter
+  (``np.bitwise_xor`` + popcount) to all pairs at once; surviving pairs are
+  verified by the grouped block verifier.
 
-Both backends are *exactly* equivalent: a pair is accepted if and only if its
-true Jaccard similarity meets the threshold, so the verified pair sets (and
-the pre-candidate / candidate / verified counters) are identical at seed
-parity.  The property-test suite in ``tests/backend`` enforces this.
+A pair is accepted if and only if its true similarity meets the threshold,
+decided with the measure's integer overlap bound
+(:func:`repro.similarity.measures.required_overlap_for_jaccard` for Jaccard).
+The scalar per-pair kernels these block kernels must agree with bit for bit
+live in the test suite's oracles (``tests/oracles``).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import ClassVar, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.backend.kernels import sketch_estimates
+from repro.backend.kernels import (
+    csr_overlaps_one_to_many,
+    csr_weighted_overlaps_one_to_many,
+    sketch_estimates,
+)
 from repro.core.preprocess import PreprocessedCollection
-from repro.hashing.sketch import popcount_rows
+from repro.hashing.sketch import _HAS_BITWISE_COUNT, popcount_rows
 from repro.result import canonical_pair
 from repro.similarity.measures import Measure, get_measure
 
@@ -40,7 +50,23 @@ __all__ = ["ExecutionBackend"]
 Pair = Tuple[int, int]
 
 
-class ExecutionBackend(ABC):
+@lru_cache(maxsize=64)
+def _triu_indices(num_records: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cached upper-triangle index pair for subsets of a given size.
+
+    The BRUTEFORCEPAIRS filter is called on thousands of subproblems capped
+    at the same ``limit``, so the index arrays repeat constantly.  The cache
+    is bounded: each entry costs two ``n(n-1)/2`` index arrays, so an
+    unbounded cache over all sizes up to :attr:`ExecutionBackend.BLOCK_ROW_LIMIT`
+    could pin hundreds of megabytes in a long experiment process.
+    """
+    first, second = np.triu_indices(num_records, k=1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
+class ExecutionBackend:
     """Verification and estimation kernels bound to one preprocessed collection.
 
     Parameters
@@ -57,7 +83,17 @@ class ExecutionBackend(ABC):
         summed token weights instead of token counts.
     """
 
-    name: ClassVar[str] = "abstract"
+    name: ClassVar[str] = "numpy"
+
+    # Above this subset size the all-pairs block kernel falls back to the
+    # row-by-row pipeline (still vectorized per row) to bound the memory of
+    # the materialized upper triangle.
+    BLOCK_ROW_LIMIT = 512
+
+    # At or below this subset size the all-pairs filter uses a scalar path:
+    # the tree walk produces thousands of tiny buckets for which Python
+    # integer sketch arithmetic beats the fixed cost of numpy dispatches.
+    SMALL_ROW_LIMIT = 12
 
     def __init__(
         self,
@@ -71,18 +107,21 @@ class ExecutionBackend(ABC):
         self.threshold = threshold
         self.measure = get_measure(measure)
         self.sizes = collection.record_sizes()
+        self._values, self._offsets = collection.packed_tokens()
         # Measure-sizes drive every filter and bound: identical to ``sizes``
         # for unweighted measures, per-record summed token weights otherwise.
         if self.measure.weighted:
-            values, offsets = collection.packed_tokens()
-            self._value_weights = self.measure.value_weights(values)
+            self._value_weights = self.measure.value_weights(self._values)
             if self.sizes.size:
-                self.measure_sizes = np.add.reduceat(self._value_weights, offsets[:-1])
+                self.measure_sizes = np.add.reduceat(self._value_weights, self._offsets[:-1])
             else:
                 self.measure_sizes = np.zeros(0, dtype=np.float64)
         else:
             self._value_weights = None
             self.measure_sizes = self.sizes
+        self._measure_size_list = self.measure_sizes.tolist()
+        self._sketch_ints = collection.sketch_bigints()
+        self._sketch_distance_bounds: dict = {}
         # Side labels for R ⋈ S joins (None for a self-join).  When present,
         # same-side pairs are dropped before any counting or filtering, so
         # pre_candidates / candidates / verified only ever count cross-side
@@ -116,6 +155,25 @@ class ExecutionBackend(ABC):
             passing &= estimates >= sketch_cutoff
         return others[passing]
 
+    def _max_sketch_distance(self, sketch_cutoff: float) -> int:
+        """Largest sketch Hamming distance whose estimate passes the cut-off.
+
+        The estimate ``1 - 2d/num_bits`` is an exact dyadic rational
+        (``num_bits`` is a power of two), so comparing the integer distance
+        against this precomputed bound is bit-for-bit equivalent to the float
+        comparison ``estimate >= sketch_cutoff`` of the one-to-many filter —
+        the bound is derived by running that exact comparison per distance.
+        """
+        cached = self._sketch_distance_bounds.get(sketch_cutoff)
+        if cached is not None:
+            return cached
+        num_bits = self.collection.sketches.num_bits
+        distances = np.arange(num_bits + 1)
+        passing = (1.0 - 2.0 * distances / num_bits) >= sketch_cutoff
+        bound = int(np.flatnonzero(passing).max(initial=-1))
+        self._sketch_distance_bounds[sketch_cutoff] = bound
+        return bound
+
     # ------------------------------------------------------------------ staged filtering (engine primitives)
     def filter_point(
         self,
@@ -148,11 +206,65 @@ class ExecutionBackend(ABC):
         """Filter stage of BRUTEFORCEPAIRS over every pair within ``subset``.
 
         Returns ``(pre_candidates, firsts, seconds)`` where the two id arrays
-        hold the filter-surviving pairs awaiting exact verification.  The
-        base implementation walks the subset row by row; backends may
-        override it with a block kernel.
+        hold the filter-surviving pairs awaiting exact verification.  Tiny
+        subsets take a scalar loop, subsets up to :attr:`BLOCK_ROW_LIMIT`
+        the upper-triangle block kernel, larger ones the row walk.
         """
         subset = list(subset)
+        num_records = len(subset)
+        empty = np.zeros(0, dtype=np.intp)
+        if num_records < 2:
+            return 0, empty, empty
+        if num_records <= self.SMALL_ROW_LIMIT:
+            return self._filter_subset_small(subset, use_sketches, sketch_cutoff)
+        if num_records > self.BLOCK_ROW_LIMIT:
+            return self._filter_subset_rows(subset, use_sketches, sketch_cutoff)
+
+        ids = np.asarray(subset, dtype=np.intp)
+        first_pos, second_pos = _triu_indices(num_records)
+        if self.sides is not None:
+            # Side mask first: in an R ⋈ S join same-side pairs are not part
+            # of the workload, so they are dropped before the size probe and
+            # the sketch filter and never counted as pre-candidates.
+            subset_sides = self.sides[ids]
+            cross = subset_sides[first_pos] != subset_sides[second_pos]
+            first_pos, second_pos = first_pos[cross], second_pos[cross]
+        pre_candidates = int(first_pos.size)
+        if pre_candidates == 0:
+            return 0, empty, empty
+
+        sizes = self.measure_sizes[ids]
+        passing = self.measure.size_compatible(sizes[first_pos], sizes[second_pos], self.threshold)
+        first_pos, second_pos = first_pos[passing], second_pos[passing]
+
+        if use_sketches and first_pos.size:
+            sketches = self.collection.sketches
+            words = sketches.words[ids]
+            # The gathered pair block is a private temporary, so the XOR and
+            # the popcount both run in place to avoid further allocations.
+            xored = words[first_pos]
+            np.bitwise_xor(xored, words[second_pos], out=xored)
+            if _HAS_BITWISE_COUNT:
+                np.bitwise_count(xored, out=xored)
+                distances = xored.sum(axis=1, dtype=np.int64)
+            else:
+                distances = popcount_rows(xored)
+            surviving = distances <= self._max_sketch_distance(sketch_cutoff)
+            first_pos, second_pos = first_pos[surviving], second_pos[surviving]
+
+        return pre_candidates, ids[first_pos], ids[second_pos]
+
+    def _filter_subset_rows(
+        self,
+        subset: List[int],
+        use_sketches: bool,
+        sketch_cutoff: float,
+    ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """All-pairs filter as one :meth:`filter_point` per row (large subsets).
+
+        Memory stays linear in the subset size: each row filters the record
+        against the records after it.
+        """
         pre_candidates = 0
         firsts: List[int] = []
         seconds: List[int] = []
@@ -172,18 +284,93 @@ class ExecutionBackend(ABC):
             np.asarray(seconds, dtype=np.intp),
         )
 
+    def _filter_subset_small(
+        self,
+        subset: List[int],
+        use_sketches: bool,
+        sketch_cutoff: float,
+    ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Scalar all-pairs filter for tiny subproblems.
+
+        Arithmetically identical to the block kernel: the same size probe and
+        the same sketch estimate ``1 - 2d/num_bits`` (evaluated on the same
+        IEEE doubles, with the Hamming distance taken by ``int.bit_count``
+        on the cached big-integer sketches).
+        """
+        num_records = len(subset)
+        sides = self.sides
+        if sides is None:
+            pre_candidates = num_records * (num_records - 1) // 2
+        else:
+            # Only cross-side pairs count: with n₀ R-records and n₁ S-records
+            # in the subset, the workload is n₀ · n₁ pairs.
+            num_right = int(np.count_nonzero(sides[np.asarray(subset, dtype=np.intp)]))
+            pre_candidates = num_right * (num_records - num_right)
+        firsts: List[int] = []
+        seconds: List[int] = []
+        sizes = self._measure_size_list
+        sketch_ints = self._sketch_ints
+        num_bits = self.collection.sketches.num_bits
+        threshold = self.threshold
+        size_compatible_one = self.measure.size_compatible_one
+        for position in range(num_records):
+            record_id = subset[position]
+            size_first = sizes[record_id]
+            for other_position in range(position + 1, num_records):
+                other_id = subset[other_position]
+                if sides is not None and sides[record_id] == sides[other_id]:
+                    continue
+                size_second = sizes[other_id]
+                if not size_compatible_one(size_first, size_second, threshold):
+                    continue
+                if use_sketches:
+                    distance = (sketch_ints[record_id] ^ sketch_ints[other_id]).bit_count()
+                    if 1.0 - 2.0 * distance / num_bits < sketch_cutoff:
+                        continue
+                firsts.append(record_id)
+                seconds.append(other_id)
+        return (
+            pre_candidates,
+            np.asarray(firsts, dtype=np.intp),
+            np.asarray(seconds, dtype=np.intp),
+        )
+
     # ------------------------------------------------------------------ exact verification
-    @abstractmethod
+    def _record_tokens(self, record_id: int) -> np.ndarray:
+        start = self._offsets[record_id]
+        return self._values[start : start + self.sizes[record_id]]
+
+    def _overlaps_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
+        """Exact (possibly weighted) overlaps of one record against a block."""
+        if self._value_weights is not None:
+            return csr_weighted_overlaps_one_to_many(
+                self._record_tokens(record_id),
+                self._values,
+                self._value_weights,
+                self._offsets,
+                self.sizes,
+                others,
+            )
+        return csr_overlaps_one_to_many(
+            self._record_tokens(record_id), self._values, self._offsets, self.sizes, others
+        )
+
     def verify_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``others`` truly meet the threshold against ``record_id``."""
+        others = np.asarray(others, dtype=np.intp)
+        if others.size == 0:
+            return np.zeros(0, dtype=bool)
+        overlaps = self._overlaps_one_to_many(record_id, others)
+        required = self.measure.required_overlaps(
+            self.measure_sizes[record_id], self.measure_sizes[others], self.threshold
+        )
+        return overlaps >= required
 
     def verify_pairs(self, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
         """Exact verification of an arbitrary block of (first, second) pairs.
 
         Pairs are grouped by their first record so each group reduces to one
-        one-to-many verification — vectorized in the numpy backend, a scalar
-        loop in the python backend; either way the accepted mask is
-        bit-for-bit identical.
+        vectorized one-to-many verification.
         """
         firsts = np.asarray(firsts, dtype=np.intp)
         seconds = np.asarray(seconds, dtype=np.intp)

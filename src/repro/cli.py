@@ -10,7 +10,7 @@ any Python:
   algorithms): the reported pairs are (left index, right index).
 * ``repro-join index`` — the build-once/query-many workflow: ``index build``
   constructs a :class:`repro.index.SimilarityIndex` over a dataset file and
-  saves it (versioned format, old bare pickles still load); ``index query``
+  saves it (versioned format); ``index query``
   loads the file and runs point lookups from a query file (optionally
   inserting each query afterwards, the streaming deduplication shape);
   ``index query-topk`` keeps only each query's k best matches.  ``join``,
@@ -34,8 +34,11 @@ any Python:
 * ``repro-join experiment`` — run one of the paper's experiments by name
   (``table1``, ``table2``, ``figure2``, ``figure3``, ``table4``,
   ``tokens``, ``ablation-stopping``, ``ablation-sketches``,
-  ``backend-bench``, ``rs-bench``, ``index-bench``, ``parallel-bench``,
-  ``candidate-bench``, ``serve-bench``).
+  ``serve-bench``).
+
+Invalid argument values (a threshold outside its range, ``--workers 0``, a
+measure the algorithm cannot serve, …) are reported as one ``repro-join:
+error: …`` usage line with exit status 2.
 
 Examples::
 
@@ -56,6 +59,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.config import CPSJoinConfig
+from repro.core.repetition import EXECUTOR_NAMES
 from repro.datasets.io import read_dataset, write_dataset
 from repro.datasets.profiles import generate_profile_dataset
 from repro.evaluation.reports import rows_to_csv
@@ -93,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     join_parser.add_argument("--repetitions", type=int, default=None, help="CPSJOIN repetitions (default 10)")
     join_parser.add_argument(
         "--backend",
-        choices=["python", "numpy"],
+        choices=["numpy"],
         default=None,
-        help="execution backend for the verification hot paths (default python)",
+        help="execution backend for the verification hot paths (numpy, the only one)",
     )
     join_parser.add_argument(
         "--workers",
@@ -107,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     join_parser.add_argument(
         "--executor",
-        choices=["serial", "threads", "processes"],
+        choices=EXECUTOR_NAMES,
         default=None,
-        help="how parallel workers are dispatched (default threads): 'processes' shares the "
-        "preprocessed collection through shared memory for true multi-core execution",
+        help="how parallel workers are dispatched (default processes, which shares the "
+        "preprocessed collection through shared memory for true multi-core execution)",
     )
     join_parser.add_argument("--out", type=str, default=None, help="write pairs as CSV to this path (default stdout)")
 
@@ -141,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_build.add_argument(
         "--backend",
-        choices=["python", "numpy"],
+        choices=["numpy"],
         default=None,
-        help="verification backend for queries (default python)",
+        help="verification backend for queries (numpy, the only one)",
     )
     index_build.add_argument("--seed", type=int, default=None, help="seed for the index hashing")
     index_build.add_argument(
@@ -155,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_build.add_argument(
         "--executor",
-        choices=["serial", "threads", "processes"],
+        choices=EXECUTOR_NAMES,
         default=None,
-        help="how index workers are dispatched (default threads)",
+        help="how index workers are dispatched (default processes)",
     )
 
     index_query = index_subparsers.add_parser(
@@ -182,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_query.add_argument(
         "--executor",
-        choices=["serial", "threads", "processes"],
+        choices=EXECUTOR_NAMES,
         default=None,
         help="override the loaded index's executor for this run",
     )
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_topk.add_argument(
         "--executor",
-        choices=["serial", "threads", "processes"],
+        choices=EXECUTOR_NAMES,
         default=None,
         help="override the loaded index's executor for this run",
     )
@@ -253,16 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate structure of the served index (default exact)",
     )
     serve_parser.add_argument(
-        "--backend", choices=["python", "numpy"], default=None,
-        help="verification backend for queries (default python)",
+        "--backend", choices=["numpy"], default=None,
+        help="verification backend for queries (numpy, the only one)",
     )
     serve_parser.add_argument("--seed", type=int, default=None, help="seed for the index hashing")
     serve_parser.add_argument(
         "--workers", type=int, default=None, help="parallel query workers of the served index"
     )
     serve_parser.add_argument(
-        "--executor", choices=["serial", "threads", "processes"], default=None,
-        help="executor of the served index (default threads)",
+        "--executor", choices=EXECUTOR_NAMES, default=None,
+        help="executor of the served index (default processes)",
     )
     serve_parser.add_argument("--host", type=str, default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve_parser.add_argument(
@@ -367,11 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
             "tokens",
             "ablation-stopping",
             "ablation-sketches",
-            "backend-bench",
-            "rs-bench",
-            "index-bench",
-            "parallel-bench",
-            "candidate-bench",
             "serve-bench",
         ],
     )
@@ -465,7 +464,7 @@ def _command_index(args: argparse.Namespace) -> int:
         raise SystemExit(str(error))
     if args.workers is not None:
         if args.workers < 1:
-            raise SystemExit("workers must be at least 1")
+            raise ValueError("workers must be at least 1")
         index.workers = args.workers
     if args.executor is not None:
         index.executor = args.executor
@@ -479,7 +478,7 @@ def _command_index(args: argparse.Namespace) -> int:
         from repro.index.similarity_index import topk_from_matches
 
         if args.k < 1:
-            raise SystemExit("--k must be a positive integer")
+            raise ValueError("--k must be a positive integer")
         # Batched lookups plus the shared truncation rule: identical to
         # calling index.query_topk per record, with the batching amortized.
         for query_id, matches in enumerate(index.query_batch(queries.records)):
@@ -759,13 +758,8 @@ def _command_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
         ablation_sketches,
         ablation_stopping,
-        backend_bench,
-        candidate_bench,
         figure2,
         figure3,
-        index_bench,
-        parallel_bench,
-        rs_bench,
         serve_bench,
         table1,
         table2,
@@ -793,44 +787,36 @@ def _command_experiment(args: argparse.Namespace) -> int:
         print(format_table(ablation_stopping.run(scale=args.scale, seed=args.seed)))
     elif name == "ablation-sketches":
         print(format_table(ablation_sketches.run(scale=args.scale, seed=args.seed)))
-    elif name == "backend-bench":
-        print(format_table(backend_bench.run(scale=args.scale, seed=args.seed)))
-    elif name == "rs-bench":
-        print(format_table(rs_bench.run(scale=args.scale, seed=args.seed)))
-    elif name == "index-bench":
-        print(format_table(index_bench.run(scale=args.scale, seed=args.seed)))
-    elif name == "parallel-bench":
-        # Print-only like every other experiment; the JSON artifact is
-        # opt-in via `python -m repro.experiments.parallel_bench --out-json`
-        # or scripts/run_experiments.py.
-        print(format_table(parallel_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
-    elif name == "candidate-bench":
-        print(format_table(candidate_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
     elif name == "serve-bench":
         print(format_table(serve_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
     return 0
 
 
+_COMMANDS = {
+    "join": _command_join,
+    "index": _command_index,
+    "serve": _command_serve,
+    "generate": _command_generate,
+    "stats": _command_stats,
+    "trace": _command_trace,
+    "experiment": _command_experiment,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    The library validates argument values (thresholds, worker counts,
+    measures, …) by raising :class:`ValueError`; such an error becomes one
+    ``repro-join: error: …`` usage line and exit status 2 instead of a
+    traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "join":
-        return _command_join(args)
-    if args.command == "index":
-        return _command_index(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "generate":
-        return _command_generate(args)
-    if args.command == "stats":
-        return _command_stats(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as error:
+        parser.error(str(error))
 
 
 if __name__ == "__main__":

@@ -18,16 +18,14 @@ a size-compatibility probe and the 1-bit minwise sketch estimate with cut-off
 ``λ̂`` (chosen for false-negative probability ``δ``); survivors are verified
 exactly on the original token sets.
 
-The arithmetic itself is delegated to a pluggable execution backend
-(:mod:`repro.backend`): the ``"python"`` backend verifies survivors one pair
-at a time (the reference semantics), the ``"numpy"`` backend verifies whole
-candidate blocks with vectorized kernels.  The two are exactly equivalent;
-``BruteForcer`` only owns the policy (which subsets to compare) and the
-statistics bookkeeping.
+The arithmetic itself is delegated to the execution backend
+(:mod:`repro.backend`), which verifies whole candidate blocks with vectorized
+kernels; ``BruteForcer`` only owns the policy (which subsets to compare) and
+the statistics bookkeeping.
 
 When the preprocessed collection carries per-record side labels (an R ⋈ S
-join, see :func:`repro.core.preprocess.preprocess_collection`), the backends
-make ``pairs`` and ``point`` side-aware: same-side pairs are skipped before
+join, see :func:`repro.core.preprocess.preprocess_collection`), the backend
+makes ``pairs`` and ``point`` side-aware: same-side pairs are skipped before
 any counting, so the statistics only reflect cross-side work.  The
 :meth:`BruteForcer.average_similarities` estimate intentionally stays
 side-blind — it only steers *when* the recursion brute-forces, so keeping it
@@ -68,8 +66,8 @@ class BruteForcer:
     rng:
         Randomness used only for the sampled average-similarity estimator.
     backend:
-        Execution backend: a name (``"python"`` / ``"numpy"``) or an already
-        constructed :class:`repro.backend.ExecutionBackend` instance.
+        Execution backend: ``"numpy"`` / ``None``, or an already constructed
+        :class:`repro.backend.ExecutionBackend` instance.
     """
 
     def __init__(

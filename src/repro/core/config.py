@@ -16,9 +16,6 @@ __all__ = ["CPSJoinConfig"]
 
 _VALID_STOPPING = ("adaptive", "global", "individual")
 _VALID_AVERAGE_METHODS = ("sketches", "tokens")
-_VALID_BACKENDS = ("python", "numpy")
-_VALID_EXECUTORS = ("serial", "threads", "processes")
-_VALID_CANDIDATE_WALKS = ("auto", "recursive", "frontier")
 
 
 @dataclass(frozen=True)
@@ -68,27 +65,19 @@ class CPSJoinConfig:
         Seed controlling the embedding, the sketches, and the splitting
         randomness.  Repetition ``r`` uses ``seed + r``.
     backend:
-        Execution backend for the verification hot paths: ``"python"``
-        (per-pair reference semantics) or ``"numpy"`` (vectorized block
-        verification).  Both return identical pair sets at seed parity.
-    candidate_walk:
-        How the Chosen Path tree is traversed by the candidate stage:
-        ``"recursive"`` (the scalar depth-first reference),
-        ``"frontier"`` (the level-synchronous array walk) or ``"auto"``
-        (frontier on the numpy backend, recursive on python).  Node
-        randomness is seeded per node, so both walks emit the identical task
-        stream — and therefore the identical pair set — at any seed.
+        Execution backend for the verification hot paths.  ``"numpy"`` (the
+        vectorized block kernels of :mod:`repro.backend`) is the only one;
+        any other value is rejected.
     workers:
         Number of parallel workers the repetition engine uses to run the
-        independent repetitions (1 = sequential).  Results are deterministic
-        for a fixed seed regardless of the worker count.
+        independent repetitions (1 = sequential, in-process).  Results are
+        deterministic for a fixed seed regardless of the worker count.
     executor:
-        How parallel repetitions are dispatched: ``"serial"`` (in-process,
-        ignores ``workers``), ``"threads"`` (default; cheap to start, but the
-        GIL serializes pure-Python work) or ``"processes"`` (true multi-core:
-        the preprocessed collection is placed in shared memory once and
-        workers attach zero-copy).  The reported pair set is identical for
-        every executor at a fixed seed.
+        How parallel repetitions are dispatched when ``workers > 1``:
+        ``"processes"`` (default; true multi-core — the preprocessed
+        collection is placed in shared memory once and workers attach
+        zero-copy) or ``"serial"`` (in-process, ignores ``workers``).  The
+        reported pair set is identical for either executor at a fixed seed.
     measure:
         Similarity measure the join verifies under: a registered name
         (``"jaccard"``, ``"cosine"``, ``"dice"``, ``"braun_blanquet"``, …), a
@@ -111,13 +100,15 @@ class CPSJoinConfig:
     average_method: str = "sketches"
     max_depth: int = 64
     seed: Optional[int] = None
-    backend: str = "python"
-    candidate_walk: str = "auto"
+    backend: str = "numpy"
     workers: int = 1
-    executor: str = "threads"
+    executor: str = "processes"
     measure: Union[str, Measure, None] = None
 
     def __post_init__(self) -> None:
+        from repro.backend import check_backend
+        from repro.core.repetition import EXECUTOR_NAMES
+
         if self.limit < 1:
             raise ValueError("limit must be at least 1")
         if self.epsilon < 0.0:
@@ -136,14 +127,11 @@ class CPSJoinConfig:
             raise ValueError(f"average_method must be one of {_VALID_AVERAGE_METHODS}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be positive")
-        if self.backend not in _VALID_BACKENDS:
-            raise ValueError(f"backend must be one of {_VALID_BACKENDS}")
-        if self.candidate_walk not in _VALID_CANDIDATE_WALKS:
-            raise ValueError(f"candidate_walk must be one of {_VALID_CANDIDATE_WALKS}")
+        check_backend(self.backend)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.executor not in _VALID_EXECUTORS:
-            raise ValueError(f"executor must be one of {_VALID_EXECUTORS}")
+        if self.executor not in EXECUTOR_NAMES:
+            raise ValueError(f"executor must be one of {EXECUTOR_NAMES}")
         # Validate only (raises on unknown names); the field keeps the user's
         # value so frozen-dataclass replace()/equality semantics are unchanged.
         get_measure(self.measure)

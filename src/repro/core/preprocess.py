@@ -134,8 +134,8 @@ class PreprocessedCollection:
         The scalar fast paths compare sketches with ``int.bit_count()`` on
         these arbitrary-precision integers instead of dispatching numpy calls
         on tiny arrays; cached per process.  Concurrent first calls from
-        parallel repetition threads are a benign race: both compute the same
-        list and the last assignment wins.
+        several threads are a benign race: both compute the same list and
+        the last assignment wins.
         """
         if self._sketch_bigints is None:
             words = np.ascontiguousarray(self.store.sketch_words)
@@ -177,7 +177,7 @@ class PreprocessedCollection:
         """Sketch bits unpacked to a float32 ``(n, num_bits)`` matrix, cached.
 
         Backs the matvec form of the sampled average-similarity estimator
-        (see :meth:`repro.backend.base.ExecutionBackend.average_similarity_sampled`).
+        (see :meth:`repro.backend.ExecutionBackend.average_similarity_sampled`).
         Cached here — not on the per-repetition backend — so all repetitions
         of a join share one unpacking pass.  Returns ``None`` for collections
         whose matrix would exceed the budget (callers fall back to the packed

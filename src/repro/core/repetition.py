@@ -11,19 +11,14 @@ randomness only from ``config.seed`` and ``r`` — so the engine can execute
 them on a pool of parallel workers and still produce results that are
 bit-for-bit identical to a sequential run: results are always merged in
 repetition order, regardless of completion order.  Within a repetition the
-randomness is likewise walk-agnostic: the repetition generator is consumed
-once for a root entropy draw, and every Chosen Path tree node derives its
-split coordinates and estimator stream from its own node key (see
-:mod:`repro.core.frontier`), so the scalar recursion and the array frontier
-— and any worker executing either — consume identical per-node randomness.
-*How* the repetitions are dispatched is a pluggable **executor**:
+repetition generator is consumed once for a root entropy draw, and every
+Chosen Path tree node derives its split coordinates and estimator stream
+from its own node key (see :mod:`repro.core.frontier`), so any worker
+executing a repetition consumes identical randomness.  *How* the repetitions
+are dispatched when ``workers > 1`` is the **executor**:
 
-* ``"serial"`` — run in-process, one after the other (the reference).
-* ``"threads"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap
-  to start and shares the collection for free, but the GIL serializes all
-  pure-Python work; it only helps when the numpy backend spends most of its
-  time inside C kernels.
-* ``"processes"`` — a :class:`~concurrent.futures.ProcessPoolExecutor` fed
+* ``"processes"`` (default) — a
+  :class:`~concurrent.futures.ProcessPoolExecutor` fed
   through shared memory: the parent places the collection's
   :class:`repro.store.RecordStore` in a shared segment once
   (:meth:`~repro.store.RecordStore.to_shared`), ships only the tiny store
@@ -31,6 +26,10 @@ split coordinates and estimator stream from its own node key (see
   and every worker attaches zero-copy and runs its shard through the staged
   :class:`repro.engine.JoinEngine`.  No record objects are ever pickled;
   results come back as plain pair sets and are merged in repetition order.
+* ``"serial"`` — run in-process, one after the other, whatever ``workers``
+  says (the reference the process executor is tested against).
+
+With ``workers=1`` every executor runs the repetitions in-process.
 
 Each repetition runs through the shared staged pipeline of
 :class:`repro.engine.JoinEngine` (the engines' ``run_once`` dispatches
@@ -54,10 +53,9 @@ level, exactly as the paper does.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import CPSJoinConfig
@@ -69,7 +67,6 @@ from repro.store import RecordStore, StoreHandle
 __all__ = [
     "EXECUTOR_NAMES",
     "RepetitionEngine",
-    "RepetitionDriver",
     "join_with_target_recall",
     "repetitions_for_recall",
     "process_pool_context",
@@ -77,7 +74,7 @@ __all__ = [
 
 Pair = Tuple[int, int]
 
-EXECUTOR_NAMES = ("serial", "threads", "processes")
+EXECUTOR_NAMES = ("serial", "processes")
 """Names accepted by ``executor=`` arguments throughout the library."""
 
 
@@ -177,10 +174,9 @@ class RepetitionEngine:
         merged result is independent of the worker count for a fixed engine
         seed.
     executor:
-        ``"serial"``, ``"threads"`` (default) or ``"processes"`` — see the
-        module docstring for the trade-offs.  ``"serial"`` ignores
-        ``workers``; with ``workers=1`` all executors reduce to the serial
-        path.
+        ``"processes"`` (default) or ``"serial"`` — see the module
+        docstring.  ``"serial"`` ignores ``workers``; with ``workers=1``
+        both executors reduce to the serial path.
     """
 
     def __init__(
@@ -192,7 +188,7 @@ class RepetitionEngine:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        executor = "threads" if executor is None else str(executor).lower()
+        executor = "processes" if executor is None else str(executor).lower()
         if executor not in EXECUTOR_NAMES:
             raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTOR_NAMES}")
         self.engine = engine
@@ -246,19 +242,7 @@ class RepetitionEngine:
                 self._run_one_traced(start + offset)
                 for offset in range(count)
             ]
-        if self.executor == "processes":
-            return self._run_repetitions_processes(count, start)
-        with ThreadPoolExecutor(max_workers=min(self.workers, count)) as pool:
-            # Each task gets its own context copy so repetition spans nest
-            # under the caller's span despite the thread hop (and two tasks
-            # never race on one Context object).
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run, self._run_one_traced, start + offset
-                )
-                for offset in range(count)
-            ]
-            return [future.result() for future in futures]
+        return self._run_repetitions_processes(count, start)
 
     def _run_one_traced(self, repetition: int) -> JoinResult:
         """One repetition, wrapped in its correlation span."""
@@ -366,15 +350,6 @@ class RepetitionEngine:
         stats.results = len(pairs)
         stats.elapsed_seconds = wall.elapsed
         return JoinResult(pairs=pairs, stats=stats)
-
-
-class RepetitionDriver(RepetitionEngine):
-    """Backward-compatible alias of :class:`RepetitionEngine`.
-
-    The seed implementation exposed the sequential driver under this name;
-    it remains available (including the ``workers`` / ``executor``
-    extensions) for existing callers.
-    """
 
 
 def join_with_target_recall(

@@ -62,7 +62,7 @@ class JoinEngine:
     threshold:
         Similarity threshold ``λ`` on the measure's own scale.
     backend:
-        Execution backend name (``"python"`` / ``"numpy"``) or instance.
+        Execution backend: ``"numpy"`` / ``None``, or an instance.
     use_sketches / sketch_false_negative_rate:
         Configuration of the default :class:`SketchFilterStage` (``δ``
         determines the estimator cut-off ``λ̂``).  The sketches estimate

@@ -159,9 +159,8 @@ class DedupStage:
 class SketchFilterStage:
     """Side mask + size probe + 1-bit sketch filter with a fixed cut-off ``λ̂``.
 
-    The arithmetic is delegated to the execution backend, which implements
-    the subset filter as a vectorized block kernel (numpy) or a row walk
-    (python) — identical survivors either way.
+    The arithmetic is delegated to the execution backend's vectorized
+    filter kernels.
     """
 
     def __init__(self, backend: ExecutionBackend, use_sketches: bool, sketch_cutoff: float) -> None:
@@ -186,8 +185,7 @@ class SketchFilterStage:
 
         The base implementation applies the shared size-probe and
         sketch-estimate kernels pairwise; subclasses may substitute an
-        entirely different pruning rule (BayesLSH's incremental posterior
-        check).
+        entirely different pruning rule (BayesLSH's posterior check).
         """
         if firsts.size == 0:
             return firsts, seconds

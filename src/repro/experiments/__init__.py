@@ -20,11 +20,6 @@ Table IV (candidate counts)     :mod:`repro.experiments.table4`
 TOKENS scaling discussion       :mod:`repro.experiments.tokens_scaling`
 Stopping-strategy argument      :mod:`repro.experiments.ablation_stopping`
 Sketching design choice         :mod:`repro.experiments.ablation_sketches`
-Backend micro-benchmark         :mod:`repro.experiments.backend_bench`
-R ⋈ S extension (Section IV)    :mod:`repro.experiments.rs_bench`
-Index serving extension         :mod:`repro.experiments.index_bench`
-Parallel executors (V-A.5)      :mod:`repro.experiments.parallel_bench`
-Candidate-stage walk (V-A.2)    :mod:`repro.experiments.candidate_bench`
 Online serving extension        :mod:`repro.experiments.serve_bench`
 ==============================  =======================================
 """
@@ -38,10 +33,5 @@ __all__ = [
     "tokens_scaling",
     "ablation_stopping",
     "ablation_sketches",
-    "backend_bench",
-    "rs_bench",
-    "index_bench",
-    "parallel_bench",
-    "candidate_bench",
     "serve_bench",
 ]

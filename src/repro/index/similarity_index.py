@@ -21,10 +21,12 @@ query-time counterpart, built on the same staged pipeline as the joins:
   one stage that can drop a true positive — preserving the exactness
   contract.
 * **VerifyStage** — exact verification through the same kernels as the join
-  backends: the early-terminating merge (``"python"``) or the vectorized
-  CSR ``searchsorted`` intersection (``"numpy"``,
-  :func:`repro.backend.kernels.csr_overlaps_one_to_many`); both accept
-  identical pairs via the shared integer overlap bound.
+  backend.  In ``"exact"`` mode the candidate stage already counts every
+  candidate's exact overlap (ScanCount over the query's posting lists), so
+  verification is a vectorized comparison against the measure's integer
+  overlap bound; the approximate modes verify their candidates with the
+  CSR ``searchsorted`` intersection
+  (:func:`repro.backend.kernels.csr_overlaps_one_to_many`).
 
 Queries are served in memory-bounded batches (``batch_size`` queries at a
 time), and all storage grows by amortized O(1) appends: token CSR arrays and
@@ -61,7 +63,6 @@ from repro.obs.metrics import active_metrics
 from repro.obs.tracing import span
 from repro.result import JoinStats, canonical_pair
 from repro.similarity.measures import Measure, get_measure
-from repro.similarity.verify import verify_pair_sorted, verify_pair_sorted_measure
 
 __all__ = [
     "SimilarityIndex",
@@ -78,12 +79,12 @@ _WORD_BITS = 64
 _SAVE_MAGIC = b"REPRO-SIMIDX\n"
 """File magic of :meth:`SimilarityIndex.save`; a bare pickle never starts with it."""
 
-SAVE_FORMAT_VERSION = 2
-"""Current on-disk format version written by :meth:`SimilarityIndex.save`.
+SAVE_FORMAT_VERSION = 3
+"""On-disk format version written (and the only one read) by :meth:`SimilarityIndex.save`.
 
-Version 2 added the similarity-measure state (the ``measure`` attribute plus
-the weighted token storage); version-1 files — which were always implicit
-Jaccard — still load, defaulting to the Jaccard measure.
+Version 3 indexes carry the numpy backend and the serial/processes executor
+settings.  Files of any other version are refused with a message asking for
+a rebuild (``repro-join index build``).
 """
 
 
@@ -146,7 +147,6 @@ def topk_from_matches(
 
 
 _CANDIDATE_MODES = ("exact", "chosenpath", "lsh")
-_BACKENDS = ("python", "numpy")
 
 # ---------------------------------------------------------------------------
 # Process-executor side of query_batch: each worker holds one unpickled copy
@@ -282,9 +282,8 @@ class SimilarityIndex:
         ``"lsh"`` (the banding structure of
         :class:`repro.index.MinHashLSHIndex`).
     backend:
-        Verification backend: ``"python"`` (early-terminating merge, the
-        reference semantics) or ``"numpy"`` (vectorized CSR intersection).
-        Identical results either way.
+        Verification backend; ``"numpy"`` (or ``None``) is the only one.
+        Kept as an attribute because the serving layer reports it.
     use_sketches:
         Whether queries run the 1-bit sketch filter before exact
         verification.  Defaults to False in ``"exact"`` mode (the filter has
@@ -301,9 +300,9 @@ class SimilarityIndex:
         :meth:`insert_all`.  Queries are pure reads, so results are
         identical for any worker count.
     executor:
-        How parallel work is dispatched: ``"serial"``, ``"threads"``
-        (default) or ``"processes"`` (workers receive the pickled index once
-        per pool and stream back matches plus counter deltas).
+        How parallel work is dispatched when ``workers > 1``:
+        ``"processes"`` (default; workers receive the pickled index once per
+        pool and stream back matches plus counter deltas) or ``"serial"``.
     chosen_path_depth / chosen_path_repetitions / lsh_bands / lsh_rows:
         Parameters of the approximate candidate structures.
     """
@@ -327,6 +326,7 @@ class SimilarityIndex:
         lsh_rows: int = 4,
         measure: Union[str, Measure, None] = None,
     ) -> None:
+        from repro.backend import check_backend
         from repro.core.repetition import EXECUTOR_NAMES
 
         if not 0.0 < threshold <= 1.0:
@@ -334,14 +334,12 @@ class SimilarityIndex:
             raise ValueError("threshold must be in (0, 1]")
         if candidates not in _CANDIDATE_MODES:
             raise ValueError(f"candidates must be one of {_CANDIDATE_MODES}")
-        backend_name = "python" if backend is None else str(backend).lower()
-        if backend_name not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
+        backend_name = check_backend(backend)
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        executor_name = "threads" if executor is None else str(executor).lower()
+        executor_name = "processes" if executor is None else str(executor).lower()
         if executor_name not in EXECUTOR_NAMES:
             raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTOR_NAMES}")
         self.threshold = threshold
@@ -502,7 +500,7 @@ class SimilarityIndex:
     """Below this many records a parallel signature build cannot pay for itself."""
 
     def _signature_block(self, normalized_list: List[Record]) -> np.ndarray:
-        """MinHash signatures of a record block, on parallel workers when asked.
+        """MinHash signatures of a record block, on worker processes when asked.
 
         Each record's signature depends only on the record and the hasher's
         seed, so sharding the block across workers is trivially deterministic.
@@ -516,7 +514,7 @@ class SimilarityIndex:
             or len(normalized_list) < self._PARALLEL_BUILD_MINIMUM
         ):
             return _signature_block_worker(self._minhasher, normalized_list)
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
         from repro.core.repetition import process_pool_context
 
@@ -525,11 +523,9 @@ class SimilarityIndex:
         shards = [
             normalized_list[bounds[index] : bounds[index + 1]] for index in range(shard_count)
         ]
-        if self.executor == "processes":
-            pool = ProcessPoolExecutor(max_workers=shard_count, mp_context=process_pool_context())
-        else:
-            pool = ThreadPoolExecutor(max_workers=shard_count)
-        with pool:
+        with ProcessPoolExecutor(
+            max_workers=shard_count, mp_context=process_pool_context()
+        ) as pool:
             futures = [
                 pool.submit(_signature_block_worker, self._minhasher, shard)
                 for shard in shards
@@ -650,11 +646,10 @@ class SimilarityIndex:
         index with its own members).  Returns one match list per query,
         aligned with the input order.
 
-        With ``workers > 1`` the chunks are dealt to parallel workers
-        (threads, or processes each holding one pickled copy of the index);
-        queries are pure reads, so the returned matches are identical to a
-        serial run, and the workers' counter deltas are folded back into
-        :attr:`stats`.
+        With ``workers > 1`` the chunks are dealt to worker processes, each
+        holding one pickled copy of the index; queries are pure reads, so the
+        returned matches are identical to a serial run, and the workers'
+        counter deltas are folded back into :attr:`stats`.
         """
         if exclude_ids is not None and len(exclude_ids) != len(records):
             raise ValueError("exclude_ids must have one entry per query record")
@@ -688,38 +683,22 @@ class SimilarityIndex:
     def _query_batch_parallel(
         self, chunks: List[Tuple[Sequence[Sequence[int]], List[Optional[int]]]]
     ) -> List[List[Match]]:
-        """Run query chunks on parallel workers, merging counter deltas."""
-        from concurrent.futures import ThreadPoolExecutor
-
+        """Run query chunks on the worker processes, merging counter deltas."""
         results: List[List[Match]] = []
-        if self.executor == "processes":
-            pool = self._ensure_query_pool()
-            try:
-                futures = [
-                    pool.submit(_query_pool_chunk, chunk, excludes)
-                    for chunk, excludes in chunks
-                ]
-                for future in futures:
-                    matches, counters = future.result()
-                    results.extend(matches)
-                    self._merge_query_counters(counters)
-            except BaseException:
-                # Never cache a broken pool: a crashed worker would otherwise
-                # wedge every later query_batch until a manual close().
-                self.close()
-                raise
-        else:  # threads: the index is shared read-only, each chunk gets private stats
-            max_workers = min(self.workers, len(chunks))
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = []
-                for chunk, excludes in chunks:
-                    stats = JoinStats(algorithm="SIMINDEX", threshold=self.threshold)
-                    futures.append(
-                        (pool.submit(self._query_chunk, chunk, excludes, stats), stats)
-                    )
-                for future, stats in futures:
-                    results.extend(future.result())
-                    self._merge_query_counters(_query_counters(stats))
+        pool = self._ensure_query_pool()
+        try:
+            futures = [
+                pool.submit(_query_pool_chunk, chunk, excludes) for chunk, excludes in chunks
+            ]
+            for future in futures:
+                matches, counters = future.result()
+                results.extend(matches)
+                self._merge_query_counters(counters)
+        except BaseException:
+            # Never cache a broken pool: a crashed worker would otherwise
+            # wedge every later query_batch until a manual close().
+            self.close()
+            raise
         return results
 
     def _ensure_query_pool(self):
@@ -886,7 +865,7 @@ class SimilarityIndex:
     ) -> List[Match]:
         stats = stats if stats is not None else self.stats
         stats.extra["queries"] = stats.extra.get("queries", 0.0) + 1.0
-        if self.candidates == "exact" and self.backend == "numpy":
+        if self.candidates == "exact":
             return self._query_one_scancount(normalized, exclude, query_words, stats)
 
         # Candidate stage.
@@ -919,16 +898,15 @@ class SimilarityIndex:
         query_words: Optional[np.ndarray] = None,
         stats: Optional[JoinStats] = None,
     ) -> List[Match]:
-        """Fused exact query for the numpy backend (ScanCount).
+        """Fused exact query (ScanCount).
 
         One pass over the query tokens' postings counts the exact
         intersection size of the query with every record sharing a token
         (``np.unique(..., return_counts=True)`` over the merged posting
         lists — O(postings touched), no index-sized temporaries), so the
         verify stage reduces to a vectorized comparison against the overlap
-        bound — no per-candidate token merge at all.  Candidate / filter /
-        verify counters match the scalar reference path exactly: candidates
-        are the records sharing at least one token, the filter is the shared
+        bound — no per-candidate token merge at all.  Candidates are the
+        records sharing at least one token, the filter is the shared
         :meth:`_filter_candidates` stage, and every filter survivor counts
         as verified.
         """
@@ -943,8 +921,8 @@ class SimilarityIndex:
             if weighted:
                 # Weighted ScanCount: every posting contributes its token's
                 # weight instead of 1.  Candidates stay "records sharing at
-                # least one token" (presence counts), matching the scalar
-                # reference path even for zero-weight tokens.
+                # least one token" (presence counts), even for zero-weight
+                # tokens.
                 token_weight = self.measure.token_weight
                 hit_weights = np.concatenate(
                     [
@@ -1016,8 +994,9 @@ class SimilarityIndex:
         """Accept candidates from exact intersection sizes (shared verify tail).
 
         Applies the measure's required-overlap bound and converts surviving
-        overlaps to exact similarities; used by both vectorized verify paths
-        so acceptance and tie-breaking can never diverge.
+        overlaps to exact similarities; used by both verify paths (ScanCount
+        and the CSR intersection) so acceptance and tie-breaking can never
+        diverge.
         """
         candidate_msizes = self._candidate_measure_sizes(candidate_ids)
         required = self.measure.required_overlaps(query_msize, candidate_msizes, self.threshold)
@@ -1031,11 +1010,7 @@ class SimilarityIndex:
         ]
 
     def _candidate_ids(self, normalized: Record) -> np.ndarray:
-        if self.candidates == "exact":
-            hits = self._gather_postings(normalized)
-            if not hits:
-                return np.zeros(0, dtype=np.intp)
-            return np.unique(np.concatenate(hits))
+        """Candidate ids of an approximate-mode query (sorted)."""
         if self.candidates == "chosenpath":
             found = self._chosen_path.candidates(normalized)
         else:
@@ -1045,38 +1020,21 @@ class SimilarityIndex:
     def _verify_query(
         self, normalized: Record, query_msize, candidate_ids: np.ndarray
     ) -> List[Match]:
-        if self.backend == "numpy":
-            query_tokens = np.asarray(normalized, dtype=np.int64)
-            if self._value_weights is not None:
-                overlaps = csr_weighted_overlaps_one_to_many(
-                    query_tokens,
-                    self._values,
-                    self._value_weights,
-                    self._offsets,
-                    self._sizes,
-                    candidate_ids,
-                )
-            else:
-                overlaps = csr_overlaps_one_to_many(
-                    query_tokens, self._values, self._offsets, self._sizes, candidate_ids
-                )
-            return self._accept_matches(query_msize, candidate_ids, overlaps)
-        matches: List[Match] = []
-        if self.measure.is_default:
-            for candidate_id in candidate_ids:
-                accepted, similarity = verify_pair_sorted(
-                    normalized, self._records[int(candidate_id)], self.threshold
-                )
-                if accepted:
-                    matches.append((int(candidate_id), similarity))
-            return matches
-        for candidate_id in candidate_ids:
-            accepted, similarity = verify_pair_sorted_measure(
-                normalized, self._records[int(candidate_id)], self.threshold, self.measure
+        query_tokens = np.asarray(normalized, dtype=np.int64)
+        if self._value_weights is not None:
+            overlaps = csr_weighted_overlaps_one_to_many(
+                query_tokens,
+                self._values,
+                self._value_weights,
+                self._offsets,
+                self._sizes,
+                candidate_ids,
             )
-            if accepted:
-                matches.append((int(candidate_id), similarity))
-        return matches
+        else:
+            overlaps = csr_overlaps_one_to_many(
+                query_tokens, self._values, self._offsets, self._sizes, candidate_ids
+            )
+        return self._accept_matches(query_msize, candidate_ids, overlaps)
 
     # ------------------------------------------------------------------ persistence
     def save(self, path: Union[str, Path]) -> Path:
@@ -1084,8 +1042,9 @@ class SimilarityIndex:
 
         The file starts with a magic header plus a format version, so
         :meth:`load` can tell a saved index from an arbitrary pickle before
-        unpickling anything, and refuses files written by a *newer* format
-        with a clear error instead of failing somewhere inside pickle.
+        unpickling anything, and refuses files written at another format
+        version with a clear error instead of failing somewhere inside
+        pickle.
 
         The write is atomic (staging file + rename, flushed to stable
         storage first): a crash mid-save can never destroy an existing file
@@ -1107,46 +1066,45 @@ class SimilarityIndex:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SimilarityIndex":
-        """Load an index written by :meth:`save`.
+        """Load an index written by :meth:`save` at the current format version.
 
-        Bare pickles written before the versioned format existed (the old
-        CLI ``index build`` output) still load through a fallback path;
-        anything else — a pickle of some other object, a truncated header, a
-        format version from a newer release — raises
-        :class:`IndexPersistenceError` naming the problem.
+        Anything else — a file without the magic header, a truncated header,
+        a format version other than :data:`SAVE_FORMAT_VERSION`, a pickle of
+        some other object — raises :class:`IndexPersistenceError` naming the
+        problem.  Files of an older version name the rebuild command.
         """
         path = Path(path)
         with open(path, "rb") as handle:
-            header = handle.read(len(_SAVE_MAGIC))
-            if header == _SAVE_MAGIC:
-                version_bytes = handle.read(4)
-                if len(version_bytes) != 4:
-                    raise IndexPersistenceError(
-                        f"{path}: truncated index header (missing format version)"
-                    )
-                version = struct.unpack(">I", version_bytes)[0]
-                if version > SAVE_FORMAT_VERSION:
-                    raise IndexPersistenceError(
-                        f"{path}: index format version {version} is newer than the "
-                        f"supported version {SAVE_FORMAT_VERSION}; "
-                        "load it with a matching release of this library"
-                    )
-                try:
-                    index = pickle.load(handle)
-                except Exception as error:
-                    raise IndexPersistenceError(
-                        f"{path}: corrupt index payload ({error})"
-                    ) from error
-            else:
-                # Fallback: a bare pickle from before the versioned format.
-                handle.seek(0)
-                try:
-                    index = pickle.load(handle)
-                except Exception as error:
-                    raise IndexPersistenceError(
-                        f"{path}: not a saved SimilarityIndex (bad magic and "
-                        f"not a loadable legacy pickle: {error})"
-                    ) from error
+            if handle.read(len(_SAVE_MAGIC)) != _SAVE_MAGIC:
+                raise IndexPersistenceError(
+                    f"{path}: not a saved SimilarityIndex (missing file header; "
+                    "files written before the versioned format must be rebuilt "
+                    "with `repro-join index build`)"
+                )
+            version_bytes = handle.read(4)
+            if len(version_bytes) != 4:
+                raise IndexPersistenceError(
+                    f"{path}: truncated index header (missing format version)"
+                )
+            version = struct.unpack(">I", version_bytes)[0]
+            if version > SAVE_FORMAT_VERSION:
+                raise IndexPersistenceError(
+                    f"{path}: index format version {version} is newer than the "
+                    f"supported version {SAVE_FORMAT_VERSION}; "
+                    "load it with a matching release of this library"
+                )
+            if version < SAVE_FORMAT_VERSION:
+                raise IndexPersistenceError(
+                    f"{path}: index format version {version} is no longer supported "
+                    f"(current version {SAVE_FORMAT_VERSION}); rebuild the index from "
+                    "its dataset with `repro-join index build`"
+                )
+            try:
+                index = pickle.load(handle)
+            except Exception as error:
+                raise IndexPersistenceError(
+                    f"{path}: corrupt index payload ({error})"
+                ) from error
         if not isinstance(index, cls):
             raise IndexPersistenceError(
                 f"{path}: contains {type(index).__name__}, not a SimilarityIndex"
@@ -1161,23 +1119,6 @@ class SimilarityIndex:
         state["_query_pool"] = None
         state["_query_pool_key"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Indexes pickled before the executor refactor carry no worker
-        # settings; default them so old pickles keep loading.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("workers", 1)
-        self.__dict__.setdefault("executor", "threads")
-        self.__dict__.setdefault("_query_pool", None)
-        self.__dict__.setdefault("_query_pool_key", None)
-        # Version-1 indexes predate the measure abstraction: they were
-        # always plain Jaccard, with the embedded threshold equal to the
-        # query threshold and no weighted storage.
-        if "measure" not in self.__dict__:
-            self.measure = get_measure(None)
-        self.__dict__.setdefault("_embedded_threshold", self.threshold)
-        self.__dict__.setdefault("_measure_sizes", None)
-        self.__dict__.setdefault("_value_weights", None)
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self._records)

@@ -9,11 +9,11 @@ Two entry points cover the common use cases:
 * :func:`similarity_join_rs` — R ⋈ S join of two collections.  The randomized
   algorithms (``cpsjoin``, ``minhash``, ``bayeslsh``) run a **native
   side-aware path**: the records of both collections are preprocessed
-  together with per-record side labels and the execution backends skip every
+  together with per-record side labels and the execution backend skips every
   same-side comparison, so only cross-side pairs are counted, filtered, and
-  verified.  The exact algorithms (and ``native=False``) use the union
-  self-join fallback the paper suggests in Section IV: self-join ``R ∪ S``
-  and keep only pairs spanning the two sides.
+  verified.  The exact algorithms use the union self-join construction the
+  paper suggests in Section IV: self-join ``R ∪ S`` and keep only pairs
+  spanning the two sides.
 
 Both return :class:`repro.result.JoinResult`; the approximate algorithms
 achieve 100 % precision by construction (every reported pair is verified
@@ -37,6 +37,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.approximate.bayeslsh import BayesLSHJoin
 from repro.approximate.minhash_lsh import MinHashLSHJoin
+from repro.backend import check_backend
 from repro.core.config import CPSJoinConfig
 from repro.core.cpsjoin import CPSJoin
 from repro.datasets.base import Record
@@ -130,9 +131,10 @@ def similarity_join(
         Randomness seed for the randomized algorithms; ignored by the exact
         ones.  An explicit seed takes precedence over ``config.seed``.
     backend:
-        Execution backend for the verification hot paths (``"python"`` /
-        ``"numpy"``); used by ``cpsjoin``, ``minhash`` and ``bayeslsh`` and
-        ignored by the exact algorithms.  Overrides ``config.backend``.
+        Execution backend for the verification hot paths of ``cpsjoin``,
+        ``minhash`` and ``bayeslsh``; ``"numpy"`` (or ``None``) is the only
+        one, and any other value is rejected for every algorithm.
+        Overrides ``config.backend``.
     workers:
         Parallel workers for the randomized algorithms: CPSJOIN runs its
         repetitions and MinHash LSH its bucketing rounds on this many workers
@@ -141,10 +143,10 @@ def similarity_join(
         parallel path and raises a clear error for ``workers > 1``; the exact
         algorithms ignore the argument.
     executor:
-        How parallel work is dispatched: ``"serial"``, ``"threads"``
-        (default) or ``"processes"`` (shared-memory workers; see
-        :mod:`repro.core.repetition`).  Overrides ``config.executor`` for
-        cpsjoin.
+        How parallel work is dispatched when ``workers > 1``:
+        ``"processes"`` (default; shared-memory workers, see
+        :mod:`repro.core.repetition`) or ``"serial"``.  Overrides
+        ``config.executor`` for cpsjoin.
     measure:
         Similarity measure pairs are scored under: a registered name
         (``"jaccard"``, ``"cosine"``, ``"dice"``, ``"overlap"``,
@@ -213,6 +215,7 @@ def _run_algorithm(
     sides: Optional[Sequence[int]],
     measure=None,
 ) -> JoinResult:
+    check_backend(backend)
     name = algorithm.lower()
     if name == "cpsjoin":
         effective = _effective_cpsjoin_config(config, seed, backend, workers, executor, measure)
@@ -259,7 +262,6 @@ def similarity_join_rs(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     executor: Optional[str] = None,
-    native: bool = True,
     measure=None,
 ) -> JoinResult:
     """Compute the R ⋈ S similarity join of two collections.
@@ -267,28 +269,24 @@ def similarity_join_rs(
     The returned pairs are ``(left_index, right_index)`` tuples indexing into
     the two input collections.
 
-    With ``native=True`` (the default) and a randomized algorithm
-    (:data:`NATIVE_RS_ALGORITHMS`), the join runs the **native side-aware
-    path**: both collections are preprocessed together with per-record side
-    labels, and the execution backends drop same-side pairs before any
-    counting, filtering, or verification.  The reported
-    ``pre_candidates`` / ``candidates`` / ``verified`` statistics therefore
-    count *only cross-side work* — zero same-side pairs are ever verified
-    (``stats.extra["same_side_verified"]`` is always 0 on this path, and
-    ``stats.extra["rs_native"]`` is 1).
+    For the randomized algorithms (:data:`NATIVE_RS_ALGORITHMS`) the join
+    runs the **native side-aware path**: both collections are preprocessed
+    together with per-record side labels, and the execution backend drops
+    same-side pairs before any counting, filtering, or verification.  The
+    reported ``pre_candidates`` / ``candidates`` / ``verified`` statistics
+    therefore count *only cross-side work* — zero same-side pairs are ever
+    verified (``stats.extra["same_side_verified"]`` is always 0 on this
+    path, and ``stats.extra["rs_native"]`` is 1).  The side labels change
+    which comparisons are *executed*, not the tree walk or its randomness,
+    so at a fixed seed the native path reports exactly the cross pairs of a
+    union self-join of ``R ∪ S``.
 
-    With ``native=False``, or for the exact algorithms (which have no
-    randomized candidate-generation stage to make side-aware), the join falls
-    back to the construction the paper suggests in Section IV: a full
-    self-join of the union ``R ∪ S`` whose same-side pairs are discarded
-    afterwards.  On the fallback path the statistics describe the union
+    The exact algorithms have no randomized candidate-generation stage to
+    make side-aware, so they use the construction the paper suggests in
+    Section IV: a full self-join of the union ``R ∪ S`` whose same-side
+    pairs are discarded afterwards.  Their statistics describe the union
     self-join, so they include same-side work (``stats.extra["rs_native"]``
     is 0).
-
-    At a fixed seed the two paths report exactly the same cross pairs for the
-    randomized algorithms — the side labels change which comparisons are
-    *executed*, not the recursion or its randomness — so the native path is a
-    strict reduction in verification work.
     """
     normalized_left = _normalize_records(left_records, label="left record")
     normalized_right = _normalize_records(right_records, label="right record")
@@ -296,7 +294,7 @@ def similarity_join_rs(
     split = len(normalized_left)
 
     name = algorithm.lower()
-    if native and name in NATIVE_RS_ALGORITHMS:
+    if name in NATIVE_RS_ALGORITHMS:
         sides = [0] * split + [1] * len(normalized_right)
         union_result = _dispatch_join(
             union,

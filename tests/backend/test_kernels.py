@@ -1,16 +1,17 @@
 """Unit tests for the execution-backend kernels.
 
-The numpy backend's vectorized kernels (packed-token verification, block
+The backend's vectorized kernels (packed-token verification, block
 all-pairs, grouped pair verification) are checked directly against the
-scalar reference backend on randomized inputs.
+scalar oracle backend of ``tests/oracles`` on randomized inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import ScalarBackend
 
-from repro.backend import BACKEND_NAMES, NumpyBackend, PythonBackend, make_backend
+from repro.backend import ExecutionBackend, check_backend, make_backend
 from repro.core.preprocess import preprocess_collection
 from repro.similarity.measures import jaccard_similarity
 from repro.similarity.verify import verify_pair_sorted
@@ -26,26 +27,24 @@ def collection():
     return preprocess_collection(records, seed=3)
 
 
-class TestRegistry:
-    def test_names(self) -> None:
-        assert set(BACKEND_NAMES) == {"python", "numpy"}
-
-    def test_make_backend_resolves_names(self, collection) -> None:
-        assert isinstance(make_backend("python", collection, 0.5), PythonBackend)
-        assert isinstance(make_backend("numpy", collection, 0.5), NumpyBackend)
-        assert isinstance(make_backend(None, collection, 0.5), PythonBackend)
+class TestMakeBackend:
+    def test_make_backend_resolves_numpy_and_none(self, collection) -> None:
+        assert type(make_backend("numpy", collection, 0.5)) is ExecutionBackend
+        assert type(make_backend(None, collection, 0.5)) is ExecutionBackend
+        assert check_backend(None) == check_backend("NumPy") == "numpy"
 
     def test_make_backend_passes_instances_through(self, collection) -> None:
-        backend = NumpyBackend(collection, 0.5)
+        backend = ExecutionBackend(collection, 0.5)
         assert make_backend(backend, collection, 0.5) is backend
 
-    def test_unknown_backend_rejected(self, collection) -> None:
-        with pytest.raises(ValueError):
-            make_backend("fortran", collection, 0.5)
+    @pytest.mark.parametrize("name", ["fortran", "python"])
+    def test_other_backends_rejected_naming_the_one_choice(self, collection, name) -> None:
+        with pytest.raises(ValueError, match="only backend is 'numpy'"):
+            make_backend(name, collection, 0.5)
 
     def test_invalid_threshold_rejected(self, collection) -> None:
         with pytest.raises(ValueError):
-            NumpyBackend(collection, 0.0)
+            ExecutionBackend(collection, 0.0)
 
 
 class TestPackedTokens:
@@ -71,8 +70,8 @@ class TestPackedTokens:
 class TestVerifyKernels:
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7, 0.9])
     def test_verify_one_to_many_matches_reference(self, collection, threshold) -> None:
-        python_backend = PythonBackend(collection, threshold)
-        numpy_backend = NumpyBackend(collection, threshold)
+        scalar_backend = ScalarBackend(collection, threshold)
+        numpy_backend = ExecutionBackend(collection, threshold)
         rng = np.random.default_rng(11)
         for _ in range(25):
             record_id = int(rng.integers(0, collection.num_records))
@@ -81,12 +80,12 @@ class TestVerifyKernels:
             others = others[others != record_id]
             if others.size == 0:
                 continue
-            expected = python_backend.verify_one_to_many(record_id, others)
+            expected = scalar_backend.verify_one_to_many(record_id, others)
             actual = numpy_backend.verify_one_to_many(record_id, others)
             np.testing.assert_array_equal(actual, expected)
 
     def test_verify_agrees_with_true_jaccard(self, collection) -> None:
-        backend = NumpyBackend(collection, 0.5)
+        backend = ExecutionBackend(collection, 0.5)
         rng = np.random.default_rng(13)
         for _ in range(50):
             first, second = rng.choice(collection.num_records, size=2, replace=False)
@@ -95,7 +94,7 @@ class TestVerifyKernels:
             assert bool(mask[0]) == truth
 
     def test_verify_pairs_grouping(self, collection) -> None:
-        backend = NumpyBackend(collection, 0.4)
+        backend = ExecutionBackend(collection, 0.4)
         rng = np.random.default_rng(17)
         firsts = rng.integers(0, collection.num_records, size=200)
         seconds = (firsts + 1 + rng.integers(0, collection.num_records - 1, size=200)) % collection.num_records
@@ -110,48 +109,33 @@ class TestVerifyKernels:
 class TestAllPairsKernels:
     @pytest.mark.parametrize("use_sketches", [True, False])
     @pytest.mark.parametrize("subset_size", [2, 3, 7, 12, 13, 40, 120])
-    def test_all_pairs_matches_reference(self, collection, use_sketches, subset_size) -> None:
+    # 0.0 is an estimate random pairs reach exactly (distance num_bits / 2),
+    # so it pins the ">= cut-off" comparison at the boundary.
+    @pytest.mark.parametrize("cutoff", [0.3, 0.0])
+    def test_all_pairs_matches_reference(self, collection, use_sketches, subset_size, cutoff) -> None:
         # Sizes straddle SMALL_ROW_LIMIT (12) to cover the scalar fast path,
         # the block kernel, and the boundary between them.
         threshold = 0.5
-        python_backend = PythonBackend(collection, threshold)
-        numpy_backend = NumpyBackend(collection, threshold)
+        scalar_backend = ScalarBackend(collection, threshold)
+        numpy_backend = ExecutionBackend(collection, threshold)
         rng = np.random.default_rng(subset_size)
         subset = rng.choice(collection.num_records, size=subset_size, replace=False).tolist()
-        cutoff = 0.3
-        expected = python_backend.all_pairs(subset, use_sketches, cutoff)
+        expected = scalar_backend.all_pairs(subset, use_sketches, cutoff)
         actual = numpy_backend.all_pairs(subset, use_sketches, cutoff)
         assert actual == expected  # (pre_candidates, verified, accepted pairs)
 
     def test_block_fallback_above_row_limit(self, collection, monkeypatch) -> None:
-        monkeypatch.setattr(NumpyBackend, "BLOCK_ROW_LIMIT", 16)
+        monkeypatch.setattr(ExecutionBackend, "BLOCK_ROW_LIMIT", 16)
         threshold = 0.5
-        python_backend = PythonBackend(collection, threshold)
-        numpy_backend = NumpyBackend(collection, threshold)
+        scalar_backend = ScalarBackend(collection, threshold)
+        numpy_backend = ExecutionBackend(collection, threshold)
         subset = list(range(30))
-        assert numpy_backend.all_pairs(subset, True, 0.3) == python_backend.all_pairs(subset, True, 0.3)
+        assert numpy_backend.all_pairs(subset, True, 0.3) == scalar_backend.all_pairs(subset, True, 0.3)
 
     def test_trivial_subsets(self, collection) -> None:
-        backend = NumpyBackend(collection, 0.5)
+        backend = ExecutionBackend(collection, 0.5)
         assert backend.all_pairs([], True, 0.3) == (0, 0, set())
         assert backend.all_pairs([4], True, 0.3) == (0, 0, set())
-
-
-class TestAverageSimilarities:
-    def test_shared_estimators_identical_across_backends(self, collection) -> None:
-        subset = list(range(60))
-        python_backend = PythonBackend(collection, 0.5)
-        numpy_backend = NumpyBackend(collection, 0.5)
-        exact_python = python_backend.average_similarity_exact(subset)
-        exact_numpy = numpy_backend.average_similarity_exact(subset)
-        np.testing.assert_array_equal(exact_python, exact_numpy)
-        sampled_python = python_backend.average_similarity_sampled(
-            subset, 16, np.random.default_rng(5)
-        )
-        sampled_numpy = numpy_backend.average_similarity_sampled(
-            subset, 16, np.random.default_rng(5)
-        )
-        np.testing.assert_array_equal(sampled_python, sampled_numpy)
 
 
 class TestGroupRowsFirstOccurrence:

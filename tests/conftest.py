@@ -1,11 +1,22 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+``tests/`` is put on ``sys.path`` so every test module can import the
+scalar reference implementations as ``oracles`` (see ``tests/oracles``);
+that package holds no ``test_*`` modules, so nothing in it is collected.
+"""
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
 from typing import List, Tuple
 
 import numpy as np
 import pytest
+
+_TESTS = str(Path(__file__).resolve().parent)
+if _TESTS not in sys.path:
+    sys.path.insert(0, _TESTS)
 
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import generate_skewed_dataset, generate_uniform_dataset

@@ -1,10 +1,9 @@
-"""Cross-executor determinism tests: serial == threads == processes.
+"""Cross-executor determinism tests: serial == processes.
 
 The only thing an executor may change is *where* work runs.  For every
 randomized join the reported pair set — and for cpsjoin/minhash the full
-counter signature — must be bit-identical across ``serial``, ``threads`` and
-``processes`` at a fixed seed, for both execution backends and any worker
-count.
+counter signature — must be bit-identical across ``serial`` (the reference)
+and ``processes`` at a fixed seed, for any worker count.
 """
 
 from __future__ import annotations
@@ -20,9 +19,10 @@ from repro.core.repetition import (
     shard_round_robin,
 )
 from repro.exact.naive import naive_join
+from repro.index import SimilarityIndex
 from repro.join import similarity_join, similarity_join_rs
 
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "processes")
 
 
 def _signature(result):
@@ -38,11 +38,10 @@ def _signature(result):
 
 
 class TestCPSJoinExecutors:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_all_executors_identical(self, uniform_dataset, backend, workers) -> None:
+    def test_all_executors_identical(self, uniform_dataset, workers) -> None:
         records = uniform_dataset.records[:220]
-        base = CPSJoinConfig(seed=17, repetitions=6, backend=backend, workers=workers)
+        base = CPSJoinConfig(seed=17, repetitions=6, workers=workers)
         results = {
             executor: cpsjoin(records, 0.5, base.with_overrides(executor=executor))
             for executor in EXECUTORS
@@ -85,9 +84,8 @@ class TestCPSJoinExecutors:
 
 
 class TestMinHashExecutors:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_all_executors_identical(self, uniform_dataset, backend, workers) -> None:
+    def test_all_executors_identical(self, uniform_dataset, workers) -> None:
         records = uniform_dataset.records[:220]
         results = {
             executor: similarity_join(
@@ -95,7 +93,6 @@ class TestMinHashExecutors:
                 0.5,
                 algorithm="minhash",
                 seed=23,
-                backend=backend,
                 workers=workers,
                 executor=executor,
             )
@@ -105,9 +102,9 @@ class TestMinHashExecutors:
         for executor, result in results.items():
             assert _signature(result) == reference, executor
 
-    def test_parallel_matches_historical_sequential(self, uniform_dataset) -> None:
-        # workers=1 with the default executor is the historical code path;
-        # any parallel configuration must reproduce it exactly.
+    def test_parallel_matches_sequential(self, uniform_dataset) -> None:
+        # workers=1 runs in-process whatever the executor; any parallel
+        # configuration must reproduce it exactly.
         records = uniform_dataset.records[:200]
         sequential = similarity_join(records, 0.6, algorithm="minhash", seed=4)
         parallel = similarity_join(
@@ -144,11 +141,8 @@ class TestRSJoinExecutors:
 
 
 class TestIndexExecutors:
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
     @pytest.mark.parametrize("candidates", ["exact", "lsh"])
-    def test_query_batch_parallel_identical(self, uniform_dataset, executor, candidates) -> None:
-        from repro.index import SimilarityIndex
-
+    def test_query_batch_parallel_identical(self, uniform_dataset, candidates) -> None:
         records = uniform_dataset.records[:300]
         serial = SimilarityIndex.build(
             records, 0.5, candidates=candidates, backend="numpy", seed=6, batch_size=32
@@ -161,7 +155,7 @@ class TestIndexExecutors:
             seed=6,
             batch_size=32,
             workers=4,
-            executor=executor,
+            executor="processes",
         )
         queries = records[:150]
         expected = serial.query_batch(queries)
@@ -175,8 +169,6 @@ class TestIndexExecutors:
 
 class TestIndexQueryPoolLifecycle:
     def test_pool_reused_across_batches_and_invalidated_by_insert(self, uniform_dataset) -> None:
-        from repro.index import SimilarityIndex
-
         records = uniform_dataset.records[:200]
         index = SimilarityIndex.build(
             records, 0.5, backend="numpy", batch_size=32, workers=2, executor="processes"
@@ -208,7 +200,28 @@ class TestValidation:
             RepetitionEngine(engine, collection, workers=2, executor="fleet")
 
     def test_executor_names_exported(self) -> None:
-        assert EXECUTOR_NAMES == ("serial", "threads", "processes")
+        assert EXECUTOR_NAMES == ("serial", "processes")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CPSJoinConfig(executor="threads"),
+            lambda: similarity_join([(1, 2)], 0.5, algorithm="minhash", executor="threads"),
+            lambda: similarity_join([(1, 2)], 0.5, algorithm="bayeslsh", executor="threads"),
+            lambda: SimilarityIndex(0.5, executor="threads"),
+        ],
+        ids=["config", "minhash", "bayeslsh", "index"],
+    )
+    def test_threads_executor_rejected(self, make) -> None:
+        with pytest.raises(ValueError, match="executor"):
+            make()
+
+    def test_default_executor_is_processes(self, uniform_dataset) -> None:
+        engine = CPSJoin(0.5, CPSJoinConfig(seed=1))
+        collection = preprocess_collection(uniform_dataset.records[:20], seed=1)
+        assert CPSJoinConfig().executor == "processes"
+        assert RepetitionEngine(engine, collection).executor == "processes"
+        assert SimilarityIndex(0.5).executor == "processes"
 
     def test_shard_round_robin_covers_all_ids(self) -> None:
         shards = shard_round_robin(7, 3, start=10)

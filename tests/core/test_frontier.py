@@ -3,10 +3,10 @@
 The load-bearing property is *task-stream equivalence*: at any seed the
 level-synchronous frontier of :mod:`repro.core.frontier` must emit the
 identical task stream (same tasks, same order, same tree statistics) as the
-scalar depth-first recursion of :mod:`repro.core.cpsjoin`, for every
-stopping strategy and on every backend.  Everything else — per-node key
-derivation, the vectorized preorder, the depth vectorization — exists to
-uphold that property and is tested against its scalar reference here.
+scalar depth-first recursion of the test oracle :mod:`oracles.walk`, for
+every stopping strategy.  Everything else — per-node key derivation, the
+vectorized preorder, the depth vectorization — exists to uphold that
+property and is tested against its scalar reference here.
 """
 
 from __future__ import annotations
@@ -14,18 +14,18 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
+import oracles
 import pytest
+from oracles.walk import chosen_split_coordinates
 
 from repro.core.bruteforce import BruteForcer
 from repro.core.config import CPSJoinConfig
 from repro.core.cpsjoin import _SEED_STREAM, CPSJoin, ChosenPathCandidateStage
 from repro.core.frontier import (
     child_node_keys,
-    chosen_split_coordinates,
     coordinate_uniforms,
     estimator_rng,
     fallback_coordinates,
-    resolve_candidate_walk,
     root_node_key,
 )
 from repro.core.preprocess import preprocess_collection
@@ -33,7 +33,6 @@ from repro.engine import JoinEngine, PointCandidates, SubsetCandidates
 from repro.result import JoinStats
 
 STOPPINGS = ("adaptive", "global", "individual")
-BACKENDS = ("python", "numpy")
 
 
 def _make_records(seed: int, num_records: int = 300) -> List[Tuple[int, ...]]:
@@ -61,16 +60,14 @@ def _normalize(task) -> tuple:
     return ("point", int(task.anchor), tuple(int(r) for r in task.others))
 
 
-def _task_stream(collection, stopping, walk, backend, seed, repetition, limit=4):
-    config = CPSJoinConfig(
-        seed=seed, limit=limit, backend=backend, stopping=stopping, candidate_walk=walk
-    )
+def _task_stream(collection, stopping, seed, repetition, limit=4):
+    """One repetition's task stream and tree statistics from ``stage.tasks()``."""
+    config = CPSJoinConfig(seed=seed, limit=limit, stopping=stopping)
     join = CPSJoin(0.5, config)
     stats = JoinStats(algorithm="CPSJOIN", threshold=0.5, num_records=collection.num_records)
     engine = JoinEngine(
         collection,
         join.threshold,
-        backend=backend,
         use_sketches=config.use_sketches,
         sketch_false_negative_rate=config.sketch_false_negative_rate,
         measure=join.measure,
@@ -81,42 +78,38 @@ def _task_stream(collection, stopping, walk, backend, seed, repetition, limit=4)
     return stream, dict(stats.extra)
 
 
+def _both_streams(collection, stopping, seed, repetition, limit=4):
+    """(frontier, recursive-oracle) task streams of the same repetition."""
+    frontier = _task_stream(collection, stopping, seed, repetition, limit)
+    with pytest.MonkeyPatch.context() as patch:
+        oracles.install(patch, backend=False)
+        recursive = _task_stream(collection, stopping, seed, repetition, limit)
+    return frontier, recursive
+
+
 @pytest.fixture(scope="module")
 def walk_collection():
     return preprocess_collection(_make_records(7), embedding_size=64, sketch_words=4, seed=3)
 
 
 class TestTaskStreamEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("stopping", STOPPINGS)
-    def test_frontier_matches_recursive_stream(self, walk_collection, stopping, backend) -> None:
+    def test_frontier_matches_recursive_stream(self, walk_collection, stopping) -> None:
         for repetition in range(2):
-            reference, reference_extra = _task_stream(
-                walk_collection, stopping, "recursive", backend, seed=11, repetition=repetition
+            frontier, recursive = _both_streams(
+                walk_collection, stopping, seed=11, repetition=repetition
             )
-            frontier, frontier_extra = _task_stream(
-                walk_collection, stopping, "frontier", backend, seed=11, repetition=repetition
-            )
-            assert frontier == reference
-            assert frontier_extra == reference_extra
+            assert frontier == recursive
 
     @pytest.mark.parametrize("seed", (23, 57))
     def test_equivalence_holds_across_seeds(self, walk_collection, seed) -> None:
-        reference, reference_extra = _task_stream(
-            walk_collection, "adaptive", "recursive", "numpy", seed=seed, repetition=0
-        )
-        frontier, frontier_extra = _task_stream(
-            walk_collection, "adaptive", "frontier", "numpy", seed=seed, repetition=0
-        )
-        assert frontier == reference
-        assert frontier_extra == reference_extra
+        frontier, recursive = _both_streams(walk_collection, "adaptive", seed=seed, repetition=0)
+        assert frontier == recursive
 
     def test_streams_exercise_both_task_shapes(self, walk_collection) -> None:
         # Guard against the suite silently comparing trivial streams: the
         # planted clusters must produce point tasks and the walk must recurse.
-        stream, extra = _task_stream(
-            walk_collection, "adaptive", "frontier", "numpy", seed=11, repetition=0
-        )
+        stream, extra = _task_stream(walk_collection, "adaptive", seed=11, repetition=0)
         kinds = {entry[0] for entry in stream}
         assert kinds == {"subset", "point"}
         assert extra["max_depth"] >= 2
@@ -124,35 +117,27 @@ class TestTaskStreamEquivalence:
 
 
 class TestJoinParity:
-    def test_full_join_pair_sets_identical(self, walk_collection) -> None:
-        results = {}
-        for walk in ("recursive", "frontier"):
-            config = CPSJoinConfig(
-                seed=5, repetitions=3, limit=12, backend="numpy", candidate_walk=walk
-            )
-            results[walk] = CPSJoin(0.5, config).join_preprocessed(walk_collection)
-        assert results["frontier"].pairs == results["recursive"].pairs
+    def test_full_join_matches_recursive_oracle(self, walk_collection) -> None:
+        config = CPSJoinConfig(seed=5, repetitions=3, limit=12, executor="serial")
+        frontier = CPSJoin(0.5, config).join_preprocessed(walk_collection)
+        with pytest.MonkeyPatch.context() as patch:
+            oracles.install(patch, backend=False)
+            recursive = CPSJoin(0.5, config).join_preprocessed(walk_collection)
+        assert frontier.pairs == recursive.pairs
+        assert frontier.stats.extra == recursive.stats.extra
+        assert (frontier.stats.pre_candidates, frontier.stats.candidates) == (
+            recursive.stats.pre_candidates,
+            recursive.stats.candidates,
+        )
 
     def test_frontier_parity_across_executors_and_workers(self, walk_collection) -> None:
         pair_sets = []
-        for executor, workers in (("serial", 1), ("threads", 2)):
+        for executor, workers in (("serial", 1), ("processes", 2)):
             config = CPSJoinConfig(
-                seed=5,
-                repetitions=4,
-                limit=12,
-                backend="numpy",
-                candidate_walk="frontier",
-                executor=executor,
-                workers=workers,
+                seed=5, repetitions=4, limit=12, executor=executor, workers=workers
             )
             pair_sets.append(CPSJoin(0.5, config).join_preprocessed(walk_collection).pairs)
         assert pair_sets[0] == pair_sets[1]
-
-    def test_auto_walk_resolution(self) -> None:
-        assert resolve_candidate_walk("auto", "numpy") == "frontier"
-        assert resolve_candidate_walk("auto", "python") == "recursive"
-        assert resolve_candidate_walk("recursive", "numpy") == "recursive"
-        assert resolve_candidate_walk("frontier", "python") == "frontier"
 
 
 class TestNodeKeys:
@@ -168,8 +153,9 @@ class TestNodeKeys:
         assert np.array_equal(keys, again)
 
     def test_scalar_split_coordinates_match_frontier_row(self) -> None:
-        # The scalar entry point must reproduce exactly one row of the
-        # frontier's vectorized Bernoulli mask (incl. the fallback rule).
+        # The oracle's per-node split sampling must reproduce exactly one
+        # row of the frontier's vectorized Bernoulli mask (incl. the
+        # fallback rule).
         keys = np.array([root_node_key(s) for s in range(40)], dtype=np.uint64)
         for probability in (0.0, 0.2, 0.9):
             uniforms = coordinate_uniforms(keys, 16)
@@ -200,10 +186,10 @@ class TestIndividualDepths:
     def test_vectorized_depths_match_scalar_reference(self, walk_collection) -> None:
         import math
 
-        config = CPSJoinConfig(seed=3, backend="numpy")
+        config = CPSJoinConfig(seed=3)
         join = CPSJoin(0.5, config)
         stats = JoinStats()
-        engine = JoinEngine(walk_collection, 0.5, backend="numpy", measure=join.measure)
+        engine = JoinEngine(walk_collection, 0.5, measure=join.measure)
 
         # Two estimators with identically-seeded generators: the sampled
         # average estimate consumes generator state, so each computation gets

@@ -14,7 +14,7 @@ import pytest
 from repro.core.config import CPSJoinConfig
 from repro.core.cpsjoin import CPSJoin, cpsjoin
 from repro.core.preprocess import preprocess_collection
-from repro.core.repetition import RepetitionDriver, RepetitionEngine
+from repro.core.repetition import RepetitionEngine
 from repro.exact.naive import naive_join
 from repro.join import similarity_join
 
@@ -32,10 +32,9 @@ def _signature(result):
 
 
 class TestWorkerDeterminism:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_one_vs_four_workers_identical(self, uniform_dataset, backend) -> None:
+    def test_one_vs_four_workers_identical(self, uniform_dataset) -> None:
         records = uniform_dataset.records[:250]
-        base = CPSJoinConfig(seed=21, repetitions=8, backend=backend)
+        base = CPSJoinConfig(seed=21, repetitions=8)
         sequential = cpsjoin(records, 0.5, base.with_overrides(workers=1))
         parallel = cpsjoin(records, 0.5, base.with_overrides(workers=4))
         assert _signature(parallel) == _signature(sequential)
@@ -98,15 +97,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             CPSJoinConfig(workers=0)
 
-    def test_unknown_backend_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            CPSJoinConfig(backend="cython")
-
-    def test_driver_alias_still_works(self, uniform_dataset) -> None:
-        records = uniform_dataset.records[:100]
-        engine = CPSJoin(0.5, CPSJoinConfig(seed=2))
-        collection = preprocess_collection(records, seed=2)
-        driver = RepetitionDriver(engine, collection)
-        assert isinstance(driver, RepetitionEngine)
-        result = driver.run_fixed(2)
-        assert result.stats.repetitions == 2
+    @pytest.mark.parametrize("backend", ["cython", "python"])
+    def test_unknown_backend_rejected(self, backend) -> None:
+        with pytest.raises(ValueError, match="only backend is 'numpy'"):
+            CPSJoinConfig(backend=backend)

@@ -1,10 +1,9 @@
 """Tests for the shared staged join engine.
 
 Covers the stage primitives (dedup, filter, verify), the engine's batching
-and accounting, the per-stage timing split every algorithm now reports, and
-the cross-algorithm guarantee that staged execution is equivalent to the
-fused loops it replaced (identical pairs and counters across batch budgets
-and backends).
+and accounting (identical pairs and counters across batch budgets), and the
+per-stage timing split every algorithm reports.  Production-versus-oracle
+equivalence of whole joins lives in ``tests/backend/test_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -68,9 +67,8 @@ class TestStages:
         assert PointCandidates(0, (1, 2, 3)).cost == 3
         assert PairCandidates(((0, 1), (1, 2))).cost == 2
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_filter_pairs_matches_filter_subset(self, collection, backend) -> None:
-        engine = JoinEngine(collection, 0.5, backend=backend)
+    def test_filter_pairs_matches_filter_subset(self, collection) -> None:
+        engine = JoinEngine(collection, 0.5)
         stage = engine.default_filter_stage()
         subset = list(range(30))
         pre, firsts, seconds = stage.filter_subset(subset)
@@ -83,9 +81,8 @@ class TestStages:
 
 
 class TestJoinEngine:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_subset_tasks_match_naive(self, collection, backend) -> None:
-        engine = JoinEngine(collection, 0.5, backend=backend, use_sketches=False)
+    def test_subset_tasks_match_naive(self, collection) -> None:
+        engine = JoinEngine(collection, 0.5, use_sketches=False)
         stats = _fresh_stats(collection)
         subset = tuple(range(collection.num_records))
         pairs = engine.execute(_ListStage([SubsetCandidates(subset)]), stats)
@@ -184,25 +181,3 @@ class TestPerStageTimings:
         flat = result.stats.as_dict()
         for key in ("candidate_seconds", "filter_seconds", "verify_seconds", "index_build_seconds"):
             assert key in flat
-
-
-class TestStagedEquivalence:
-    """Staged execution equals the historical fused semantics."""
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_cpsjoin_backends_agree_through_engine(self, uniform_dataset, backend) -> None:
-        records = uniform_dataset.records[:200]
-        reference = CPSJoin(0.5, CPSJoinConfig(seed=11, repetitions=3, backend="python")).join(records)
-        run = CPSJoin(0.5, CPSJoinConfig(seed=11, repetitions=3, backend=backend)).join(records)
-        assert run.pairs == reference.pairs
-        assert run.stats.pre_candidates == reference.stats.pre_candidates
-        assert run.stats.candidates == reference.stats.candidates
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_bayeslsh_backends_agree_through_engine(self, uniform_dataset, backend) -> None:
-        records = uniform_dataset.records[:200]
-        reference = BayesLSHJoin(0.5, seed=13, backend=None).join(records)
-        run = BayesLSHJoin(0.5, seed=13, backend=backend).join(records)
-        assert run.pairs == reference.pairs
-        assert run.stats.pre_candidates == reference.stats.pre_candidates
-        assert run.stats.candidates == reference.stats.candidates

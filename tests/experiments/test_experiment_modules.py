@@ -13,8 +13,6 @@ from repro.experiments import (
     ablation_stopping,
     figure2,
     figure3,
-    index_bench,
-    rs_bench,
     table1,
     table2,
     table4,
@@ -121,96 +119,6 @@ class TestTokensScaling:
         assert [row["dataset"] for row in rows] == ["TOKENS10K", "TOKENS15K", "TOKENS20K"]
         for row in rows:
             assert row["speedup@0.7"] > 0
-
-
-class TestRSBench:
-    def test_native_path_reduces_verification(self) -> None:
-        rows = rs_bench.run(scale=0.08, seed=16, trials=1, repetitions=2)
-        assert {row["backend"] for row in rows} == {"python", "numpy"}
-        for row in rows:
-            # The run itself asserts identical pair sets and zero same-side
-            # verified pairs; the rows must show the strict reduction.
-            assert row["native_verified"] < row["fallback_verified"]
-            assert row["verified_reduction"] > 1.0
-
-    def test_workload_plants_duplicates_on_both_sides(self) -> None:
-        left, right = rs_bench.make_rs_workload(scale=0.05, seed=17)
-        planted = max(1, int(len(left) * 0.05))
-        assert right[-planted:] == left[:planted]
-
-
-class TestIndexBench:
-    def test_smoke_rows(self) -> None:
-        rows = index_bench.run(
-            scale=0.05, seed=18, num_batches=2, workloads=[("UNIFORM005", 4.0)]
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        # The run itself asserts the baseline pairs are a subset of the
-        # index pairs; the rows must carry the timing comparison.
-        assert row["index_pairs"] >= row["rejoin_pairs"]
-        assert row["index_seconds"] >= 0.0
-        assert row["rejoin_seconds"] >= 0.0
-        assert row["queries_per_second"] > 0.0
-
-
-class TestParallelBench:
-    def test_smoke_rows_and_artifact(self, tmp_path) -> None:
-        from repro.experiments import parallel_bench
-
-        out_json = tmp_path / "BENCH_parallel.json"
-        rows = parallel_bench.run(
-            scale=0.04,
-            seed=19,
-            repetitions=2,
-            trials=1,
-            worker_counts=(1, 2),
-            workloads=[("UNIFORM005", 4.0)],
-            out_json=str(out_json),
-        )
-        # 2 executors x 2 worker counts on one workload.
-        assert len(rows) == 4
-        assert {row["executor"] for row in rows} == {"threads", "processes"}
-        for row in rows:
-            assert row["identical_pairs"] is True
-            assert row["seconds"] >= 0.0
-            assert row["speedup_vs_1"] is not None  # workers=1 is in the sweep
-        import json
-
-        payload = json.loads(out_json.read_text())
-        assert payload["experiment"] == "parallel-bench"
-        assert payload["environment"]["cpu_count"] is not None
-        assert len(payload["rows"]) == 4
-
-
-class TestCandidateBench:
-    def test_smoke_rows_and_artifact(self, tmp_path) -> None:
-        from repro.experiments import candidate_bench
-
-        out_json = tmp_path / "BENCH_candidate.json"
-        rows = candidate_bench.run(
-            scale=0.04,
-            seed=21,
-            repetitions=2,
-            trials=1,
-            workloads=[("UNIFORM005", 4.0)],
-            out_json=str(out_json),
-        )
-        # Both walks on one workload; run() itself asserts the frontier's
-        # verified pair set equals the recursive reference's.
-        assert [row["walk"] for row in rows] == ["recursive", "frontier"]
-        for row in rows:
-            assert row["identical_pairs"] is True
-            assert row["candidate_seconds"] >= 0.0
-            assert row["tasks_per_second"] >= 0
-        assert rows[0]["candidate_speedup"] == 1.0
-        assert rows[0]["pairs"] == rows[1]["pairs"]
-        import json
-
-        payload = json.loads(out_json.read_text())
-        assert payload["experiment"] == "candidate-bench"
-        assert payload["environment"]["cpu_count"] is not None
-        assert len(payload["rows"]) == 2
 
 
 class TestServeBench:

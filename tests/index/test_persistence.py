@@ -50,37 +50,48 @@ class TestRoundtrip:
         assert loaded.query((100, 101, 102))[0][0] == record_id
 
     def test_approximate_mode_roundtrip(self, tmp_path) -> None:
-        index = make_index(candidates="chosenpath", backend="python")
+        index = make_index(candidates="chosenpath")
         path = index.save(tmp_path / "cp.idx")
         loaded = SimilarityIndex.load(path)
         assert loaded.query_batch(RECORDS) == index.query_batch(RECORDS)
 
 
-class TestLegacyFallback:
-    def test_old_bare_pickle_still_loads(self, tmp_path) -> None:
+def write_versioned(path, version: int, payload) -> None:
+    with open(path, "wb") as handle:
+        handle.write(_SAVE_MAGIC)
+        handle.write(struct.pack(">I", version))
+        pickle.dump(payload, handle)
+
+
+class TestOlderFormatsRefused:
+    def test_bare_pickle_refused_with_rebuild_command(self, tmp_path) -> None:
         # What `repro-join index build` wrote before the versioned format.
-        index = make_index()
         path = tmp_path / "legacy.pkl"
         with open(path, "wb") as handle:
-            pickle.dump(index, handle)
-        loaded = SimilarityIndex.load(path)
-        assert loaded.query_batch(RECORDS) == index.query_batch(RECORDS)
+            pickle.dump(make_index(), handle)
+        with pytest.raises(IndexPersistenceError, match="repro-join index build"):
+            SimilarityIndex.load(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_refused_naming_version_and_rebuild(self, tmp_path, version) -> None:
+        path = tmp_path / "old.idx"
+        write_versioned(path, version, make_index())
+        with pytest.raises(
+            IndexPersistenceError, match=rf"version {version} .*`repro-join index build`"
+        ):
+            SimilarityIndex.load(path)
 
 
 class TestClearErrors:
     def test_foreign_pickle_named_in_error(self, tmp_path) -> None:
         path = tmp_path / "foreign.pkl"
-        with open(path, "wb") as handle:
-            pickle.dump({"not": "an index"}, handle)
+        write_versioned(path, SAVE_FORMAT_VERSION, {"not": "an index"})
         with pytest.raises(IndexPersistenceError, match="dict, not a SimilarityIndex"):
             SimilarityIndex.load(path)
 
     def test_newer_format_version_refused(self, tmp_path) -> None:
         path = tmp_path / "future.idx"
-        with open(path, "wb") as handle:
-            handle.write(_SAVE_MAGIC)
-            handle.write(struct.pack(">I", SAVE_FORMAT_VERSION + 1))
-            pickle.dump(make_index(), handle)
+        write_versioned(path, SAVE_FORMAT_VERSION + 1, make_index())
         with pytest.raises(IndexPersistenceError, match="newer than the supported"):
             SimilarityIndex.load(path)
 

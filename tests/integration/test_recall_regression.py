@@ -28,13 +28,12 @@ def ground_truth(synthetic_profile):
     return all_pairs_join(synthetic_profile.records, 0.5).pairs
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
 @pytest.mark.parametrize("workers", [1, 4])
 def test_default_parameters_reach_ninety_percent_recall(
-    synthetic_profile, ground_truth, backend, workers
+    synthetic_profile, ground_truth, workers
 ) -> None:
     assert ground_truth, "profile must contain qualifying pairs"
-    config = CPSJoinConfig(seed=123, backend=backend, workers=workers)
+    config = CPSJoinConfig(seed=123, workers=workers)
     result = cpsjoin(synthetic_profile.records, 0.5, config)
     assert precision(result.pairs, ground_truth) == 1.0
     assert recall(result.pairs, ground_truth) >= 0.9

@@ -5,14 +5,14 @@ The native path must match, pair for pair:
 * a naive cross-join of the two collections (the exact ground truth — the
   randomized algorithms are run at seeds where they reach full recall, which
   is deterministic for a fixed seed), and
-* the old union-self-join fallback at the same seed: the side labels change
-  which comparisons are *executed*, not the recursion or its randomness, so
-  the native path reports exactly the fallback's cross-side pairs.
+* the cross-side pairs of a union self-join ``similarity_join(R + S)`` at the
+  same seed: the side labels change which comparisons are *executed*, not
+  the tree walk or its randomness.
 
-Both properties are checked for both execution backends and worker counts
-1 and 4, on randomized collections with duplicate records planted on both
-sides (the adversarial case for index mapping: identical token sets under
-different indices and sides).
+Both properties are checked for worker counts 1 and 4, on randomized
+collections with duplicate records planted on both sides (the adversarial
+case for index mapping: identical token sets under different indices and
+sides).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Set, Tuple
 import numpy as np
 import pytest
 
-from repro.join import NATIVE_RS_ALGORITHMS, similarity_join_rs
+from repro.join import NATIVE_RS_ALGORITHMS, similarity_join, similarity_join_rs
 from repro.similarity.measures import jaccard_similarity
 
 THRESHOLD = 0.5
@@ -56,86 +56,65 @@ def _naive_cross_join(
     }
 
 
+def _union_self_join(left, right, algorithm: str, seed: int, workers: int = 1):
+    """Self-join of ``R ∪ S`` at the same seed, plus its cross-side pairs."""
+    union = similarity_join(left + right, THRESHOLD, algorithm=algorithm, seed=seed, workers=workers)
+    split = len(left)
+    cross = {(low, high - split) for low, high in union.pairs if low < split <= high}
+    return union, cross
+
+
 class TestNativeMatchesReferences:
     @pytest.mark.parametrize("data_seed", [1, 2, 3])
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_cpsjoin_native_matches_naive_and_fallback(self, data_seed, backend, workers) -> None:
+    def test_cpsjoin_native_matches_naive_and_union(self, data_seed, workers) -> None:
         left, right = _random_collections(data_seed)
         truth = _naive_cross_join(left, right, THRESHOLD)
         native = similarity_join_rs(
-            left, right, THRESHOLD, algorithm="cpsjoin", seed=17, backend=backend, workers=workers
+            left, right, THRESHOLD, algorithm="cpsjoin", seed=17, workers=workers
         )
-        fallback = similarity_join_rs(
-            left,
-            right,
-            THRESHOLD,
-            algorithm="cpsjoin",
-            seed=17,
-            backend=backend,
-            workers=workers,
-            native=False,
-        )
-        assert native.pairs == fallback.pairs
+        _, union_cross = _union_self_join(left, right, "cpsjoin", seed=17, workers=workers)
+        assert native.pairs == union_cross
         assert native.pairs == truth
 
     @pytest.mark.parametrize("algorithm", ["minhash", "bayeslsh"])
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_baselines_native_matches_naive_and_fallback(self, algorithm, backend) -> None:
+    def test_baselines_native_matches_naive_and_union(self, algorithm) -> None:
         left, right = _random_collections(4)
         truth = _naive_cross_join(left, right, THRESHOLD)
-        native = similarity_join_rs(
-            left, right, THRESHOLD, algorithm=algorithm, seed=23, backend=backend
-        )
-        fallback = similarity_join_rs(
-            left, right, THRESHOLD, algorithm=algorithm, seed=23, backend=backend, native=False
-        )
-        assert native.pairs == fallback.pairs
+        native = similarity_join_rs(left, right, THRESHOLD, algorithm=algorithm, seed=23)
+        _, union_cross = _union_self_join(left, right, algorithm, seed=23)
+        assert native.pairs == union_cross
         assert native.pairs == truth
 
 
-class TestBackendsAndWorkersBitIdentical:
+class TestWorkersBitIdentical:
     @pytest.mark.parametrize("data_seed", [5, 6])
-    def test_pair_sets_identical_across_backends_and_workers(self, data_seed) -> None:
+    def test_pair_sets_identical_across_workers(self, data_seed) -> None:
         left, right = _random_collections(data_seed)
-        reference = None
-        for backend in ("python", "numpy"):
-            for workers in (1, 4):
-                result = similarity_join_rs(
-                    left,
-                    right,
-                    THRESHOLD,
-                    algorithm="cpsjoin",
-                    seed=31,
-                    backend=backend,
-                    workers=workers,
-                )
-                if reference is None:
-                    reference = result.pairs
-                assert result.pairs == reference, (backend, workers)
+        results = [
+            similarity_join_rs(
+                left, right, THRESHOLD, algorithm="cpsjoin", seed=31, workers=workers
+            ).pairs
+            for workers in (1, 4)
+        ]
+        assert results[0] == results[1]
 
 
 class TestHonestStatistics:
     @pytest.mark.parametrize("algorithm", NATIVE_RS_ALGORITHMS)
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_native_counts_only_cross_side_work(self, algorithm, backend) -> None:
+    def test_native_counts_only_cross_side_work(self, algorithm) -> None:
         left, right = _random_collections(7)
-        native = similarity_join_rs(
-            left, right, THRESHOLD, algorithm=algorithm, seed=13, backend=backend
-        )
-        fallback = similarity_join_rs(
-            left, right, THRESHOLD, algorithm=algorithm, seed=13, backend=backend, native=False
-        )
+        native = similarity_join_rs(left, right, THRESHOLD, algorithm=algorithm, seed=13)
+        union, _ = _union_self_join(left, right, algorithm, seed=13)
         assert native.stats.extra["rs_native"] == 1.0
         assert native.stats.extra["same_side_verified"] == 0.0
-        assert fallback.stats.extra["rs_native"] == 0.0
         # Same-side pairs never enter the pipeline, so every counter shrinks.
-        assert native.stats.pre_candidates < fallback.stats.pre_candidates
-        assert native.stats.verified <= fallback.stats.verified
-        assert native.stats.candidates <= fallback.stats.candidates
-        # The planted same-side duplicates guarantee the fallback verifies
-        # same-side pairs the native path skips entirely.
-        assert native.stats.verified < fallback.stats.verified
+        assert native.stats.pre_candidates < union.stats.pre_candidates
+        assert native.stats.verified <= union.stats.verified
+        assert native.stats.candidates <= union.stats.candidates
+        # The planted same-side duplicates guarantee the union self-join
+        # verifies same-side pairs the native path skips entirely.
+        assert native.stats.verified < union.stats.verified
 
     def test_results_counter_matches_cross_pairs(self) -> None:
         left, right = _random_collections(8)
@@ -159,7 +138,7 @@ class TestEdgeCases:
         result = similarity_join_rs(records, records, 0.9, algorithm="cpsjoin", seed=2)
         assert result.pairs == {(0, 0), (1, 1), (2, 2)}
 
-    def test_exact_algorithms_use_fallback(self) -> None:
+    def test_exact_algorithms_use_union_self_join(self) -> None:
         left, right = _random_collections(9)
         truth = _naive_cross_join(left, right, THRESHOLD)
         for algorithm in ("naive", "allpairs", "ppjoin"):

@@ -51,14 +51,13 @@ def _join_pairs(dataset, **options):
 
 
 class TestPairSetParity:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_cpsjoin_identical_with_observability_enabled(self, dataset, backend) -> None:
-        baseline_pairs, baseline_stats = _join_pairs(dataset, backend=backend)
+    def test_cpsjoin_identical_with_observability_enabled(self, dataset) -> None:
+        baseline_pairs, baseline_stats = _join_pairs(dataset)
 
         sink_records = []
         enable_tracing(sink_records.append)
         enable_metrics(MetricsRegistry())
-        observed_pairs, observed_stats = _join_pairs(dataset, backend=backend)
+        observed_pairs, observed_stats = _join_pairs(dataset)
 
         assert observed_pairs == baseline_pairs
         # The deterministic counters must match too: instrumentation that
@@ -70,11 +69,11 @@ class TestPairSetParity:
         names = {record["name"] for record in sink_records}
         assert {"engine.execute", "engine.filter", "engine.verify"} <= names
 
-    def test_threaded_executor_identical_with_observability_enabled(self, dataset) -> None:
-        baseline_pairs, _ = _join_pairs(dataset, workers=2, executor="threads")
+    def test_process_executor_identical_with_observability_enabled(self, dataset) -> None:
+        baseline_pairs, _ = _join_pairs(dataset, workers=2, executor="processes")
         enable_tracing(lambda record: None)
         enable_metrics(MetricsRegistry())
-        observed_pairs, _ = _join_pairs(dataset, workers=2, executor="threads")
+        observed_pairs, _ = _join_pairs(dataset, workers=2, executor="processes")
         assert observed_pairs == baseline_pairs
 
     def test_enabled_then_disabled_restores_baseline(self, dataset) -> None:

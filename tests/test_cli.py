@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,24 @@ def dataset_file(tmp_path: Path) -> Path:
     return path
 
 
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m repro.cli ARGS`` in a fresh interpreter."""
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        [str(_REPO_ROOT / "src")] + ([environment["PYTHONPATH"]] if "PYTHONPATH" in environment else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestParser:
     def test_requires_subcommand(self) -> None:
         with pytest.raises(SystemExit):
@@ -42,6 +63,43 @@ class TestParser:
     def test_experiment_names_restricted(self) -> None:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "table99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["join", "data.txt", "--backend", "python"],
+            ["join", "data.txt", "--executor", "threads"],
+            ["index", "build", "data.txt", "--out", "x.idx", "--backend", "python"],
+            ["serve", "--executor", "threads"],
+            ["experiment", "backend-bench"],
+        ],
+    )
+    def test_removed_choices_rejected(self, argv) -> None:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
+class TestBadValuesExitTwo:
+    """Library argument validation becomes a usage error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["join", "{data}", "--workers", "0"],
+            ["join", "{data}", "--threshold", "1.5"],
+            ["join", "{data}", "--repetitions", "0"],
+            ["join", "{data}", "--measure", "overlap"],
+            ["index", "build", "{data}", "--threshold", "0", "--out", "{tmp}/x.idx"],
+            ["serve", "{data}", "--workers", "0"],
+        ],
+        ids=["workers", "threshold", "repetitions", "measure", "index-threshold", "serve-workers"],
+    )
+    def test_exit_code_two_without_traceback(self, dataset_file, tmp_path, argv) -> None:
+        argv = [arg.format(data=dataset_file, tmp=tmp_path) for arg in argv]
+        completed = run_cli(*argv)
+        assert completed.returncode == 2, completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert "repro-join: error: " in completed.stderr
 
 
 class TestJoinCommand:
@@ -174,6 +232,16 @@ class TestIndexCommand:
         captured = capsys.readouterr()
         assert "index grown to 7 records" in captured.err
 
+    @pytest.mark.parametrize("command", ["query", "query-topk"])
+    def test_query_bad_values_are_usage_errors(self, dataset_file, tmp_path, command) -> None:
+        index_path = tmp_path / "data.idx"
+        main(["index", "build", str(dataset_file), "--out", str(index_path)])
+        bad = ["--workers", "0"] if command == "query" else ["--k", "0"]
+        argv = ["index", command, str(index_path), str(dataset_file)] + bad
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
     def test_query_rejects_non_index_pickle(self, dataset_file, tmp_path) -> None:
         import pickle
 
@@ -195,8 +263,9 @@ class TestIndexCommand:
         main(["index", "build", str(dataset_file), "--out", str(index_path)])
         assert index_path.read_bytes().startswith(_SAVE_MAGIC)
 
-    def test_query_loads_legacy_bare_pickle(self, dataset_file, tmp_path, capsys) -> None:
-        # Index files written before the versioned format must keep working.
+    def test_query_refuses_legacy_bare_pickle(self, dataset_file, tmp_path) -> None:
+        # Index files written before the versioned format are refused with
+        # the rebuild command, not half-loaded.
         import pickle
 
         from repro.datasets.io import read_dataset
@@ -207,9 +276,8 @@ class TestIndexCommand:
         legacy.write_bytes(pickle.dumps(index))
         queries = tmp_path / "queries.txt"
         write_dataset(Dataset([[1, 2, 3, 4]], name="cliq"), queries)
-        exit_code = main(["index", "query", str(legacy), str(queries), "--out", str(tmp_path / "m.csv")])
-        assert exit_code == 0
-        assert "0,0,1.000000" in (tmp_path / "m.csv").read_text()
+        with pytest.raises(SystemExit, match="repro-join index build"):
+            main(["index", "query", str(legacy), str(queries), "--out", str(tmp_path / "m.csv")])
 
 
 class TestServeCommand:
