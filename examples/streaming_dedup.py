@@ -145,8 +145,7 @@ def run_against_live_server(args, stream, true_duplicates) -> None:
     server = SimilarityServer(
         index_factory=lambda: SimilarityIndex(
             args.threshold, seed=args.seed, candidates="exact", backend="numpy"
-        ),
-        max_linger_ms=args.max_linger_ms,
+        )
     )
     handle = serve_in_thread(server)
     print(f"SimilarityServer on {handle.address[0]}:{handle.address[1]} (candidates='exact'):")
@@ -195,12 +194,6 @@ def main() -> None:
         default=None,
         metavar="HOST:PORT",
         help="run the stream against an external `repro-join serve` instance",
-    )
-    parser.add_argument(
-        "--max-linger-ms",
-        type=float,
-        default=2.0,
-        help="coalescer linger of the in-process server started by --serve",
     )
     args = parser.parse_args()
 

@@ -29,7 +29,6 @@ from repro.experiments import (
     ablation_stopping,
     figure2,
     figure3,
-    serve_bench,
     table1,
     table2,
     table4,
@@ -70,7 +69,7 @@ def main() -> None:
         print(text)
         sys.stdout.flush()
         output_path.write_text("".join(sections))
-        # name=None: the experiment wrote its own richer artifact already.
+        # name=None: a plain-text section with no rows to record.
         if name is not None and isinstance(rows, list) and rows:
             write_bench_json(
                 name,
@@ -129,13 +128,6 @@ def main() -> None:
         "Ablation — sketch filter",
         "ablation-sketches",
         ablation_sketches.run(scale=args.scale, seed=args.seed),
-    )
-    section(
-        "Serving benchmark — throughput/latency vs query-coalescing settings",
-        None,
-        serve_bench.run(
-            scale=args.scale, seed=args.seed, out_json=str(json_dir / "BENCH_serve.json")
-        ),
     )
     section(
         "Total wall-clock time",

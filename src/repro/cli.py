@@ -33,11 +33,11 @@ any Python:
 * ``repro-join stats`` — print the Table I statistics of a dataset file.
 * ``repro-join experiment`` — run one of the paper's experiments by name
   (``table1``, ``table2``, ``figure2``, ``figure3``, ``table4``,
-  ``tokens``, ``ablation-stopping``, ``ablation-sketches``,
-  ``serve-bench``).
+  ``tokens``, ``ablation-stopping``, ``ablation-sketches``).
 
 Invalid argument values (a threshold outside its range, ``--workers 0``, a
-measure the algorithm cannot serve, …) are reported as one ``repro-join:
+measure the algorithm cannot serve, …) and OS-level failures (a missing
+input file, a port already in use) are reported as one ``repro-join:
 error: …`` usage line with exit status 2.
 
 Examples::
@@ -274,12 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-batch", type=int, default=64,
-        help="coalescer: dispatch a query batch at this many pending queries (default 64)",
-    )
-    serve_parser.add_argument(
-        "--max-linger-ms", type=float, default=2.0,
-        help="coalescer: dispatch at most this many ms after the first pending query "
-        "(default 2.0; 0 coalesces only queries arriving in the same event-loop tick)",
+        help="coalescer: most queries in one batch; a query is dispatched at once "
+        "when no batch is running, else with those that arrive while it runs (default 64)",
     )
     serve_parser.add_argument(
         "--snapshot-every", type=int, default=512,
@@ -371,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
             "tokens",
             "ablation-stopping",
             "ablation-sketches",
-            "serve-bench",
         ],
     )
     experiment_parser.add_argument("--scale", type=float, default=0.3)
@@ -564,7 +559,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_linger_ms=args.max_linger_ms,
         snapshot_every=args.snapshot_every,
         wal_sync=not args.no_wal_sync,
         max_inflight=args.max_inflight,
@@ -760,7 +754,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         ablation_stopping,
         figure2,
         figure3,
-        serve_bench,
         table1,
         table2,
         table4,
@@ -787,8 +780,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         print(format_table(ablation_stopping.run(scale=args.scale, seed=args.seed)))
     elif name == "ablation-sketches":
         print(format_table(ablation_sketches.run(scale=args.scale, seed=args.seed)))
-    elif name == "serve-bench":
-        print(format_table(serve_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
     return 0
 
 
@@ -807,7 +798,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
     The library validates argument values (thresholds, worker counts,
-    measures, …) by raising :class:`ValueError`; such an error becomes one
+    measures, …) by raising :class:`ValueError`, and the OS reports missing
+    files or an unusable port as :class:`OSError`; either becomes one
     ``repro-join: error: …`` usage line and exit status 2 instead of a
     traceback.
     """
@@ -815,7 +807,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as error:
+    except (ValueError, OSError) as error:
         parser.error(str(error))
 
 

@@ -20,7 +20,6 @@ Table IV (candidate counts)     :mod:`repro.experiments.table4`
 TOKENS scaling discussion       :mod:`repro.experiments.tokens_scaling`
 Stopping-strategy argument      :mod:`repro.experiments.ablation_stopping`
 Sketching design choice         :mod:`repro.experiments.ablation_sketches`
-Online serving extension        :mod:`repro.experiments.serve_bench`
 ==============================  =======================================
 """
 
@@ -33,5 +32,4 @@ __all__ = [
     "tokens_scaling",
     "ablation_stopping",
     "ablation_sketches",
-    "serve_bench",
 ]

@@ -89,9 +89,9 @@ def metric_name(raw: str) -> str:
 def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of an already sorted sample.
 
-    The shared helper behind serve-bench's client-side latency columns (the
-    server-side ones come from histogram buckets via
-    :meth:`Histogram.quantile`).  Returns 0.0 for an empty sample.
+    The exact statistic that :meth:`Histogram.quantile` estimates from
+    bucket counts; the tests use it as that estimate's reference.  Returns
+    0.0 for an empty sample.
     """
     if not sorted_values:
         return 0.0
@@ -254,10 +254,10 @@ class Histogram:
         """Estimate the ``q``-quantile from bucket counts.
 
         Linear interpolation inside the containing bucket — the estimate is
-        therefore off by at most one bucket width, which is the precision
-        contract the serve-bench comparison tests assert.  Observations in
-        the overflow bucket report the last finite boundary (there is no
-        upper edge to interpolate toward).
+        therefore within one bucket width of the exact :func:`percentile`,
+        the precision contract the tests assert.  Observations in the
+        overflow bucket report the last finite boundary (there is no upper
+        edge to interpolate toward).
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
@@ -283,8 +283,8 @@ class Histogram:
     def from_snapshot(cls, series: Mapping[str, Any], name: str = "histogram") -> "Histogram":
         """Rebuild a histogram from one snapshot series (see ``snapshot()``).
 
-        Serve-bench uses this to turn a scraped ``metrics`` payload back
-        into a quantile-capable object.
+        Turns a scraped ``metrics`` payload back into a quantile-capable
+        object.
         """
         histogram = cls(name, boundaries=tuple(series["boundaries"]))
         histogram.merge_counts(series["counts"], float(series.get("sum", 0.0)))

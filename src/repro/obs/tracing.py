@@ -2,7 +2,7 @@
 
 A *span* is a named, timed region of work.  Spans nest through a
 :mod:`contextvars` variable, so a request handled by the service produces a
-single tree — protocol decode → admission wait → coalescer linger → engine
+single tree — protocol decode → admission wait → coalescer wait → engine
 execution (candidate → dedup → sketch-filter → verify) → response write —
 correlated by one trace id even as the work hops between the event loop,
 the engine thread, and repetition workers.

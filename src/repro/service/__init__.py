@@ -6,10 +6,12 @@ for — a long-lived process that keeps an index resident, answers point
 lookups and live inserts over the wire, and survives being killed:
 
 * :mod:`repro.service.protocol` — the stdlib-only JSON-lines wire protocol
-  (``query`` / ``query_batch`` / ``insert`` / ``stats`` / ``health``).
-* :mod:`repro.service.coalescer` — the request coalescer micro-batching
-  concurrent point queries into single ``query_batch`` calls, so the
-  vectorized kernels are amortized across users.
+  (``query`` / ``query_batch`` / ``query_topk`` / ``insert`` / ``stats`` /
+  ``health`` / ``metrics``).
+* :mod:`repro.service.coalescer` — the request coalescer: a point query is
+  dispatched at once when the engine is idle, and the queries that arrive
+  while a batch runs share the next ``query_batch`` call, so the vectorized
+  kernels are amortized across users.
 * :mod:`repro.service.admission` — the overload policy: bounded admission
   (in-flight slots + a bounded wait queue) shedding excess load with
   ``busy`` responses instead of letting queues and latency grow without
@@ -20,7 +22,7 @@ lookups and live inserts over the wire, and survives being killed:
   engine thread serializes all index access, a writer queue orders inserts,
   WAL-then-acknowledge makes them durable.
 * :mod:`repro.service.client` — the blocking client used by the tests, the
-  CI smoke leg, ``repro-join experiment serve-bench`` and the examples.
+  CI smoke leg, the benchmark and the examples.
 
 Because coalescing only reschedules work, a server transcript is
 bit-identical to offline ``SimilarityIndex.query_batch`` over the same

@@ -1,37 +1,38 @@
-"""Micro-batching request coalescer for concurrent point queries.
+"""Natural-batching request coalescer for concurrent point queries.
 
 The vectorized kernels behind :meth:`repro.index.SimilarityIndex.query_batch`
 amortize their per-call overhead (signature blocks, sketch packing, numpy
 dispatch) across a batch, so a server answering each in-flight request with
 its own ``query(record)`` call throws that advantage away exactly when it
-matters — under concurrent load.  :class:`QueryCoalescer` recovers it: every
-point query is submitted as a future, concurrently pending queries are
-collected into one batch, and the whole batch runs as a single
-``query_batch`` call whose per-query results resolve the individual futures.
+matters — under concurrent load.  :class:`QueryCoalescer` recovers it
+without ever waiting on purpose, like a write-ahead log's group commit:
 
-A batch is dispatched when either
+* **idle** — a query submitted while no batch is running is dispatched at
+  once, as a batch of one;
+* **queued** — queries submitted while a batch runs are collected, and
+  dispatched together (at most ``max_batch`` at a time) as soon as it
+  finishes.
 
-* **size** — ``max_batch`` queries are pending (latency never waits on a
-  full linger window under saturation), or
-* **linger** — ``max_linger_ms`` elapsed since the first query of the batch
-  arrived (an isolated query is never delayed by more than the linger).
-
-``max_linger_ms=0`` still coalesces: the flush is scheduled on the next
-event-loop iteration, so queries arriving in the same scheduling tick share
-a batch but none waits on wall-clock time.
+Only one batch is in flight at a time: the engine is a single thread, so a
+second batch could only queue behind the first.  The busier the engine, the
+larger the batches; an idle engine adds no latency at all.  Each batch runs
+as a single ``query_batch`` call whose per-query results resolve the
+individual futures.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["QueryCoalescer"]
 
 Record = Sequence[int]
 BatchRunner = Callable[[List[Record]], Awaitable[List[Any]]]
 BatchObserver = Callable[[int, float, str], None]
+Pending = Tuple[Record, asyncio.Future, float]
 
 
 class QueryCoalescer:
@@ -45,98 +46,85 @@ class QueryCoalescer:
         input order.  (The server runs ``SimilarityIndex.query_batch`` on
         its engine thread here.)
     max_batch:
-        Dispatch as soon as this many queries are pending.
-    max_linger_ms:
-        Dispatch at most this many milliseconds after the first pending
-        query arrived, even if the batch is not full.
+        Upper bound on the queries in one batch; a larger backlog is split
+        over consecutive batches.
     """
 
-    def __init__(self, runner: BatchRunner, max_batch: int = 64, max_linger_ms: float = 2.0) -> None:
+    def __init__(self, runner: BatchRunner, max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_linger_ms < 0:
-            raise ValueError("max_linger_ms must be non-negative")
         self._runner = runner
         self.max_batch = max_batch
-        self.max_linger_seconds = max_linger_ms / 1000.0
         #: Optional hook called at every dispatch with
-        #: ``(batch_size, linger_seconds, reason)`` — the server points this
-        #: at its metrics registry to record batch-size and linger
-        #: distributions without the coalescer importing any of it.
+        #: ``(batch_size, wait_seconds, reason)`` — how long the batch's first
+        #: query waited, and ``"idle"`` or ``"queued"``.  The server points it
+        #: at its metrics registry without the coalescer importing any of it.
         self.on_batch: Optional[BatchObserver] = None
-        self._first_pending_at: float = 0.0
-        self._pending: List[Tuple[Record, asyncio.Future]] = []
-        self._linger_handle: asyncio.TimerHandle | None = None
-        self._inflight: set = set()
+        # Non-empty only while ``_running`` is set: the running batch task
+        # hands the backlog on when it finishes.
+        self._pending: Deque[Pending] = deque()
+        self._running: Optional[asyncio.Task] = None
         self.counters: Dict[str, float] = {
             "queries": 0,
             "batches": 0,
-            "size_flushes": 0,
-            "linger_flushes": 0,
-            "drain_flushes": 0,
             "max_batch_observed": 0,
             "cancelled_dropped": 0,
         }
 
     async def submit(self, record: Record) -> Any:
-        """Enqueue one query; resolves with its slice of the batch result."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        if not self._pending:
-            self._first_pending_at = time.perf_counter()
-        self._pending.append((record, future))
+        """Run one query; resolves with its slice of the batch result."""
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        entry = (record, future, time.perf_counter())
         self.counters["queries"] += 1
-        if len(self._pending) >= self.max_batch:
-            self._flush("size_flushes")
-        elif self._linger_handle is None:
-            if self.max_linger_seconds <= 0.0:
-                self._linger_handle = loop.call_soon(self._linger_expired)
-            else:
-                self._linger_handle = loop.call_later(
-                    self.max_linger_seconds, self._linger_expired
-                )
+        if self._running is None:
+            self._dispatch([entry], "idle")
+            self._running = asyncio.ensure_future(self._run([entry]))
+        else:
+            self._pending.append(entry)
         return await future
 
     async def drain(self) -> None:
-        """Dispatch anything pending and wait for all in-flight batches."""
-        if self._pending:
-            self._flush("drain_flushes")
-        if self._inflight:
-            await asyncio.gather(*tuple(self._inflight), return_exceptions=True)
+        """Wait until the running batch and the backlog it hands on are done."""
+        if self._running is not None:
+            await asyncio.gather(self._running, return_exceptions=True)
 
     # ------------------------------------------------------------------ internals
-    def _linger_expired(self) -> None:
-        self._linger_handle = None
-        if self._pending:
-            self._flush("linger_flushes")
-
-    def _flush(self, reason: str) -> None:
-        if self._linger_handle is not None:
-            self._linger_handle.cancel()
-            self._linger_handle = None
-        # A submitter cancelled while pending (deadline, shed, vanished
-        # client) has a done future: executing its record would be pure
-        # waste — and under overload, waste is exactly what balloons the
-        # queue — so drop it here and only batch live queries.
-        batch = [(record, future) for record, future in self._pending if not future.done()]
-        self.counters["cancelled_dropped"] += len(self._pending) - len(batch)
-        linger_seconds = time.perf_counter() - self._first_pending_at
-        self._pending = []
-        if not batch:
-            return
+    def _dispatch(self, batch: List[Pending], reason: str) -> None:
         self.counters["batches"] += 1
-        self.counters[reason] += 1
         self.counters["max_batch_observed"] = max(
             self.counters["max_batch_observed"], len(batch)
         )
         if self.on_batch is not None:
-            self.on_batch(len(batch), linger_seconds, reason)
-        task = asyncio.ensure_future(self._run_batch(batch))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+            wait_seconds = 0.0 if reason == "idle" else time.perf_counter() - batch[0][2]
+            self.on_batch(len(batch), wait_seconds, reason)
 
-    async def _run_batch(self, batch: List[Tuple[Record, asyncio.Future]]) -> None:
-        records = [record for record, _ in batch]
+    def _next_batch(self) -> List[Pending]:
+        """Take up to ``max_batch`` live queries off the backlog."""
+        batch: List[Pending] = []
+        while self._pending and len(batch) < self.max_batch:
+            entry = self._pending.popleft()
+            # A submitter cancelled while pending (deadline, shed, vanished
+            # client) has a done future: executing its record would be pure
+            # waste — and under overload, waste is exactly what balloons the
+            # queue — so drop it here and only batch live queries.
+            if entry[1].done():
+                self.counters["cancelled_dropped"] += 1
+            else:
+                batch.append(entry)
+        if batch:
+            self._dispatch(batch, "queued")
+        return batch
+
+    async def _run(self, batch: List[Pending]) -> None:
+        try:
+            while batch:
+                await self._run_batch(batch)
+                batch = self._next_batch()
+        finally:
+            self._running = None
+
+    async def _run_batch(self, batch: List[Pending]) -> None:
+        records = [record for record, _, _ in batch]
         try:
             results = await self._runner(records)
             if len(results) != len(batch):
@@ -144,10 +132,10 @@ class QueryCoalescer:
                     f"batch runner returned {len(results)} results for {len(batch)} queries"
                 )
         except Exception as error:
-            for _, future in batch:
+            for _, future, _ in batch:
                 if not future.done():
                     future.set_exception(error)
             return
-        for (_, future), result in zip(batch, results):
+        for (_, future, _), result in zip(batch, results):
             if not future.done():  # the submitter may have been cancelled
                 future.set_result(result)

@@ -84,7 +84,9 @@ def decode_message(line: bytes) -> Dict[str, Any]:
         raise ProtocolError(f"message of {len(line)} bytes exceeds the {MAX_LINE_BYTES} limit")
     try:
         message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers undecodable UTF-8, invalid JSON and integers past
+        # the interpreter's digit limit; RecursionError, nesting too deep.
         raise ProtocolError(f"malformed message: {error}") from error
     if not isinstance(message, dict):
         raise ProtocolError(f"message must be a JSON object, got {type(message).__name__}")

@@ -7,9 +7,10 @@ JSON-lines protocol (:mod:`repro.service.protocol`).  Three design points
 carry the subsystem:
 
 * **Micro-batched queries.**  Every ``query`` request is submitted to a
-  :class:`repro.service.coalescer.QueryCoalescer`; concurrently pending
-  queries run as one ``query_batch`` call, so the vectorized kernels are
-  amortized across users exactly like they are across records offline.
+  :class:`repro.service.coalescer.QueryCoalescer`: it is dispatched at once
+  when no batch is running, and queries arriving while one runs are batched
+  into one ``query_batch`` call when it finishes, so the vectorized kernels
+  are amortized across users exactly like they are across records offline.
   Results are therefore *identical* to offline ``query_batch`` on the same
   index — coalescing changes scheduling, never answers.
 * **Single engine thread.**  All index access (query batches, inserts,
@@ -35,7 +36,7 @@ carry the subsystem:
   request.
 
 Run it via ``repro-join serve``, embed it with :func:`serve_in_thread`
-(tests, benchmarks, examples), or drive :class:`SimilarityServer` directly
+(tests, examples), or drive :class:`SimilarityServer` directly
 from your own event loop.
 """
 
@@ -148,8 +149,9 @@ class SimilarityServer:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port, reported on
         :attr:`port` after :meth:`start`.
-    max_batch / max_linger_ms:
-        The coalescing knobs (see :class:`QueryCoalescer`).
+    max_batch:
+        Most queries the coalescer runs in one batch (see
+        :class:`QueryCoalescer`).
     snapshot_every:
         Take a snapshot after this many inserts since the last one
         (``0`` disables periodic snapshots; a final one is still written on
@@ -190,7 +192,6 @@ class SimilarityServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 64,
-        max_linger_ms: float = 2.0,
         snapshot_every: int = 512,
         wal_sync: bool = True,
         max_inflight: int = 64,
@@ -202,6 +203,10 @@ class SimilarityServer:
     ) -> None:
         if (index is None) == (index_factory is None):
             raise ValueError("provide exactly one of index= or index_factory=")
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be in 0..65535, got {port}")
+        if max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
         if snapshot_every < 0:
             raise ValueError("snapshot_every must be non-negative")
         if max_inflight < 1:
@@ -217,7 +222,6 @@ class SimilarityServer:
         self.host = host
         self.port = port
         self.max_batch = max_batch
-        self.max_linger_ms = max_linger_ms
         self.snapshot_every = snapshot_every
         self.wal_sync = wal_sync
         self.max_inflight = max_inflight
@@ -301,9 +305,7 @@ class SimilarityServer:
                 self._index = await loop.run_in_executor(None, self._factory)
             self._stats_origin = self._index.stats.snapshot()
             self._engine = ThreadPoolExecutor(max_workers=1, thread_name_prefix="simidx-engine")
-            self._coalescer = QueryCoalescer(
-                self._run_query_batch, max_batch=self.max_batch, max_linger_ms=self.max_linger_ms
-            )
+            self._coalescer = QueryCoalescer(self._run_query_batch, max_batch=self.max_batch)
             self._coalescer.on_batch = self._observe_batch
             # Bounded like the admission queue: an insert burst beyond it is
             # shed with busy instead of growing the queue (and memory).
@@ -690,8 +692,8 @@ class SimilarityServer:
         return {"status": "ok", "records": len(self._index)}
 
     # ------------------------------------------------------------------ observability
-    def _observe_batch(self, batch_size: int, linger_seconds: float, reason: str) -> None:
-        """Coalescer dispatch hook: batch shape and linger distributions."""
+    def _observe_batch(self, batch_size: int, wait_seconds: float, reason: str) -> None:
+        """Coalescer dispatch hook: batch shape and wait distributions."""
         metrics = self.metrics
         metrics.counter(
             "repro_service_coalesce_batches_total",
@@ -704,10 +706,10 @@ class SimilarityServer:
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
         ).observe(batch_size)
         metrics.histogram(
-            "repro_service_coalesce_linger_seconds",
-            "Time the first query of each batch waited before dispatch.",
-        ).observe(linger_seconds)
-        event("coalesce.batch", size=batch_size, linger_seconds=linger_seconds, reason=reason)
+            "repro_service_coalesce_wait_seconds",
+            "Time the first query of each batch waited before dispatch (0 when idle).",
+        ).observe(wait_seconds)
+        event("coalesce.batch", size=batch_size, wait_seconds=wait_seconds, reason=reason)
 
     def _observe_request(
         self, operation: str, outcome: str, duration_seconds: float, trace_id: str, root
@@ -811,7 +813,6 @@ class SimilarityServer:
             "inserts_since_snapshot": self._inserts_since_snapshot,
             "persistence": self._store is not None,
             "max_batch": self.max_batch,
-            "max_linger_ms": self.max_linger_ms,
             "coalescer": dict(self._coalescer.counters),
             "inflight": gate.inflight,
             "queue_depth": gate.queue_depth,
@@ -862,10 +863,10 @@ class ServerHandle:
 def serve_in_thread(server: SimilarityServer, start_timeout: float = 30.0) -> ServerHandle:
     """Run a server on a dedicated thread with its own event loop.
 
-    The embedding entry point used by the tests, the ``serve-bench`` load
-    generator and the live-server mode of ``examples/streaming_dedup.py``:
-    the caller gets a :class:`ServerHandle` once the port is bound and talks
-    to it through :class:`repro.service.client.ServiceClient`.
+    The embedding entry point used by the tests and the live-server mode of
+    ``examples/streaming_dedup.py``: the caller gets a :class:`ServerHandle`
+    once the port is bound and talks to it through
+    :class:`repro.service.client.ServiceClient`.
     """
     ready = threading.Event()
     failures: List[BaseException] = []

@@ -1,4 +1,9 @@
-"""Tests for the micro-batching query coalescer."""
+"""Tests for the natural-batching query coalescer.
+
+The runner used here holds every batch until the test releases it, so
+"while a batch runs" is a state the test controls rather than a timing
+window: no test sleeps on wall-clock time.
+"""
 
 from __future__ import annotations
 
@@ -10,205 +15,241 @@ import pytest
 from repro.service.coalescer import QueryCoalescer
 
 
-class _RecordingRunner:
-    """A batch runner that records the batches it was handed."""
+class _HeldRunner:
+    """A batch runner that holds each batch until :meth:`release` frees it.
 
-    def __init__(self, delay: float = 0.0, fail: bool = False) -> None:
+    It records every batch it was handed, fails batches holding a negative
+    token, and echoes each record back tagged, so per-future alignment is
+    checkable.  Build it inside the running event loop.
+    """
+
+    def __init__(self) -> None:
         self.batches: List[List] = []
-        self.delay = delay
-        self.fail = fail
+        self._released = asyncio.Semaphore(0)
+
+    def release(self, batches: int = 1) -> None:
+        for _ in range(batches):
+            self._released.release()
+
+    async def reached(self, count: int) -> None:
+        """Yield to the loop until ``count`` batches have reached the runner."""
+        while len(self.batches) < count:
+            await asyncio.sleep(0)
 
     async def __call__(self, records):
         self.batches.append(list(records))
-        if self.delay:
-            await asyncio.sleep(self.delay)
-        if self.fail:
+        await self._released.acquire()
+        if any(token < 0 for record in records for token in record):
             raise RuntimeError("runner exploded")
-        # Echo each record back, tagged, so per-future alignment is checkable.
         return [("result", record) for record in records]
+
+
+def run(scenario):
+    return asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
 
 
 class TestValidation:
     def test_max_batch_positive(self) -> None:
+        async def noop(records):
+            return []
+
         with pytest.raises(ValueError):
-            QueryCoalescer(_RecordingRunner(), max_batch=0)
-
-    def test_linger_non_negative(self) -> None:
-        with pytest.raises(ValueError):
-            QueryCoalescer(_RecordingRunner(), max_linger_ms=-1.0)
+            QueryCoalescer(noop, max_batch=0)
 
 
-class TestCoalescing:
-    def test_concurrent_submits_share_batches(self) -> None:
+class TestDispatch:
+    def test_single_submit_reaches_runner_without_a_timer(self) -> None:
         async def scenario():
-            runner = _RecordingRunner()
-            coalescer = QueryCoalescer(runner, max_batch=64, max_linger_ms=50.0)
+            runner = _HeldRunner()
+            runner.release()
+            coalescer = QueryCoalescer(runner, max_batch=64)
+            observed = []
+            coalescer.on_batch = lambda *batch: observed.append(batch)
+            task = asyncio.ensure_future(coalescer.submit((7,)))
+            # Two zero-length loop iterations: the submit dispatches, then the
+            # batch task calls the runner.  No wall-clock time has to pass.
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            reached = list(runner.batches)
+            return reached, observed, await task
+
+        reached, observed, result = run(scenario)
+        assert reached == [[(7,)]]
+        assert observed == [(1, 0.0, "idle")]
+        assert result == ("result", (7,))
+
+    def test_submits_while_a_batch_runs_form_one_next_batch(self) -> None:
+        async def scenario():
+            runner = _HeldRunner()
+            coalescer = QueryCoalescer(runner, max_batch=64)
+            observed = []
+            coalescer.on_batch = lambda *batch: observed.append(batch)
+            first = asyncio.ensure_future(coalescer.submit((0,)))
+            await runner.reached(1)
+            queued = [asyncio.ensure_future(coalescer.submit((i,))) for i in range(1, 6)]
+            await asyncio.sleep(0)  # let every submit enqueue itself
+            while_running = list(runner.batches)
+            runner.release(2)
+            results = await asyncio.gather(first, *queued)
+            return runner, coalescer, observed, while_running, results
+
+        runner, coalescer, observed, while_running, results = run(scenario)
+        assert while_running == [[(0,)]]  # the backlog waited for the running batch
+        assert runner.batches == [[(0,)], [(i,) for i in range(1, 6)]]
+        assert results == [("result", (i,)) for i in range(6)]
+        assert [(size, reason) for size, _, reason in observed] == [(1, "idle"), (5, "queued")]
+        assert observed[0][1] == 0.0 and observed[1][1] >= 0.0
+        assert coalescer.counters == {
+            "queries": 6,
+            "batches": 2,
+            "max_batch_observed": 5,
+            "cancelled_dropped": 0,
+        }
+
+    def test_same_tick_submits_share_the_second_batch(self) -> None:
+        async def scenario():
+            runner = _HeldRunner()
+            runner.release(2)
+            coalescer = QueryCoalescer(runner, max_batch=64)
             records = [(index, index + 1) for index in range(10)]
             results = await asyncio.gather(*(coalescer.submit(r) for r in records))
             return runner, results, records
 
-        runner, results, records = asyncio.run(scenario())
-        # All ten submits were pending together -> exactly one batch.
-        assert len(runner.batches) == 1
-        assert runner.batches[0] == records
+        runner, results, records = run(scenario)
+        # The first submit finds the coalescer idle; the other nine arrive
+        # before its batch task has run, and ride the next batch together.
+        assert runner.batches == [records[:1], records[1:]]
         assert results == [("result", record) for record in records]
 
-    def test_size_flush_caps_batches(self) -> None:
+    def test_max_batch_splits_a_larger_backlog(self) -> None:
         async def scenario():
-            runner = _RecordingRunner()
-            coalescer = QueryCoalescer(runner, max_batch=4, max_linger_ms=50.0)
-            results = await asyncio.gather(*(coalescer.submit((i,)) for i in range(10)))
-            return runner, results
+            runner = _HeldRunner()
+            coalescer = QueryCoalescer(runner, max_batch=2)
+            first = asyncio.ensure_future(coalescer.submit((0,)))
+            await runner.reached(1)
+            queued = [asyncio.ensure_future(coalescer.submit((i,))) for i in range(1, 6)]
+            await asyncio.sleep(0)
+            runner.release(4)
+            results = await asyncio.gather(first, *queued)
+            return runner, coalescer, results
 
-        runner, results = asyncio.run(scenario())
-        assert all(len(batch) <= 4 for batch in runner.batches)
-        assert sum(len(batch) for batch in runner.batches) == 10
-        assert coalesced_order(runner) == [(i,) for i in range(10)]
-        assert results == [("result", (i,)) for i in range(10)]
+        runner, coalescer, results = run(scenario)
+        assert runner.batches == [[(0,)], [(1,), (2,)], [(3,), (4,)], [(5,)]]
+        assert results == [("result", (i,)) for i in range(6)]
+        assert coalescer.counters["max_batch_observed"] == 2
 
-    def test_linger_zero_still_coalesces_same_tick(self) -> None:
+    def test_drain_returns_only_after_the_queued_batch_ran(self) -> None:
         async def scenario():
-            runner = _RecordingRunner()
-            coalescer = QueryCoalescer(runner, max_batch=64, max_linger_ms=0.0)
-            results = await asyncio.gather(*(coalescer.submit((i,)) for i in range(5)))
-            return runner, results
+            runner = _HeldRunner()
+            coalescer = QueryCoalescer(runner, max_batch=64)
+            first = asyncio.ensure_future(coalescer.submit((0,)))
+            await runner.reached(1)
+            queued = [asyncio.ensure_future(coalescer.submit((i,))) for i in (1, 2)]
+            await asyncio.sleep(0)
+            drained = asyncio.ensure_future(coalescer.drain())
+            runner.release()
+            await runner.reached(2)
+            done_while_queued_runs = drained.done()
+            runner.release()
+            await drained
+            batches_at_drain = list(runner.batches)
+            results = await asyncio.gather(first, *queued)
+            return done_while_queued_runs, batches_at_drain, results
 
-        runner, results = asyncio.run(scenario())
-        assert len(runner.batches) == 1
-        assert results == [("result", (i,)) for i in range(5)]
+        done_while_queued_runs, batches_at_drain, results = run(scenario)
+        assert not done_while_queued_runs
+        assert batches_at_drain == [[(0,)], [(1,), (2,)]]
+        assert results == [("result", (i,)) for i in range(3)]
 
-    def test_isolated_query_dispatched_by_linger(self) -> None:
+    def test_drain_on_an_idle_coalescer_returns(self) -> None:
         async def scenario():
-            runner = _RecordingRunner()
-            coalescer = QueryCoalescer(runner, max_batch=64, max_linger_ms=1.0)
-            result = await asyncio.wait_for(coalescer.submit((7,)), timeout=5.0)
-            return runner, result
-
-        runner, result = asyncio.run(scenario())
-        assert result == ("result", (7,))
-        assert runner.batches == [[(7,)]]
-
-    def test_counters_track_flushes(self) -> None:
-        async def scenario():
-            runner = _RecordingRunner()
-            coalescer = QueryCoalescer(runner, max_batch=2, max_linger_ms=1.0)
-            await asyncio.gather(*(coalescer.submit((i,)) for i in range(5)))
-            return coalescer
-
-        coalescer = asyncio.run(scenario())
-        counters = coalescer.counters
-        assert counters["queries"] == 5
-        assert counters["batches"] == (
-            counters["size_flushes"] + counters["linger_flushes"] + counters["drain_flushes"]
-        )
-        assert counters["drain_flushes"] == 0  # nothing was shut down mid-batch
-        assert 0 < counters["max_batch_observed"] <= 2
-
-    def test_drain_dispatches_pending(self) -> None:
-        async def scenario():
-            runner = _RecordingRunner()
-            # Huge linger: without drain() the submit would sit pending.
-            coalescer = QueryCoalescer(runner, max_batch=64, max_linger_ms=60_000.0)
-            task = asyncio.ensure_future(coalescer.submit((1, 2)))
-            await asyncio.sleep(0)  # let the submit enqueue itself
+            coalescer = QueryCoalescer(_HeldRunner(), max_batch=64)
             await coalescer.drain()
-            result = await asyncio.wait_for(task, timeout=5.0)
-            return result, dict(coalescer.counters)
+            return coalescer.counters["batches"]
 
-        result, counters = asyncio.run(scenario())
-        assert result == ("result", (1, 2))
-        assert counters["drain_flushes"] == 1  # not mis-counted as a size flush
-        assert counters["size_flushes"] == 0
+        assert run(scenario) == 0
 
 
 class TestCancelledSubmitters:
-    def test_cancelled_futures_dropped_at_flush(self) -> None:
+    def test_cancelled_pending_submits_are_dropped(self) -> None:
         # A submitter cancelled while its query is pending (deadline, shed,
         # vanished client) must not have its record executed in the batch.
         async def scenario():
-            runner = _RecordingRunner()
-            coalescer = QueryCoalescer(runner, max_batch=64, max_linger_ms=60_000.0)
-            tasks = [asyncio.ensure_future(coalescer.submit((index,))) for index in range(3)]
+            runner = _HeldRunner()
+            coalescer = QueryCoalescer(runner, max_batch=64)
+            first = asyncio.ensure_future(coalescer.submit((0,)))
+            await runner.reached(1)
+            tasks = [asyncio.ensure_future(coalescer.submit((index,))) for index in (1, 2, 3)]
             await asyncio.sleep(0)  # let every submit enqueue itself
             tasks[0].cancel()
             tasks[2].cancel()
             await asyncio.sleep(0)  # let the cancellations reach the futures
-            await coalescer.drain()
-            settled = await asyncio.gather(*tasks, return_exceptions=True)
+            runner.release(2)
+            settled = await asyncio.gather(first, *tasks, return_exceptions=True)
             return runner, coalescer, settled
 
-        runner, coalescer, settled = asyncio.run(scenario())
-        assert runner.batches == [[(1,)]]  # only the live query was executed
+        runner, coalescer, settled = run(scenario)
+        assert runner.batches == [[(0,)], [(2,)]]  # only the live query was executed
         assert coalescer.counters["cancelled_dropped"] == 2
-        assert isinstance(settled[0], asyncio.CancelledError)
-        assert settled[1] == ("result", (1,))
-        assert isinstance(settled[2], asyncio.CancelledError)
+        assert settled[0] == ("result", (0,))
+        assert isinstance(settled[1], asyncio.CancelledError)
+        assert settled[2] == ("result", (2,))
+        assert isinstance(settled[3], asyncio.CancelledError)
 
-    def test_all_cancelled_skips_the_batch_entirely(self) -> None:
+    def test_all_cancelled_backlog_dispatches_nothing(self) -> None:
         async def scenario():
-            runner = _RecordingRunner()
-            coalescer = QueryCoalescer(runner, max_batch=64, max_linger_ms=60_000.0)
-            tasks = [asyncio.ensure_future(coalescer.submit((index,))) for index in range(2)]
+            runner = _HeldRunner()
+            coalescer = QueryCoalescer(runner, max_batch=64)
+            first = asyncio.ensure_future(coalescer.submit((0,)))
+            await runner.reached(1)
+            tasks = [asyncio.ensure_future(coalescer.submit((index,))) for index in (1, 2)]
             await asyncio.sleep(0)
             for task in tasks:
                 task.cancel()
             await asyncio.sleep(0)
+            runner.release()
             await coalescer.drain()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.gather(first, *tasks, return_exceptions=True)
             return runner, coalescer
 
-        runner, coalescer = asyncio.run(scenario())
-        assert runner.batches == []  # the runner never fired
-        assert coalescer.counters["batches"] == 0
+        runner, coalescer = run(scenario)
+        assert runner.batches == [[(0,)]]  # no second batch fired
+        assert coalescer.counters["batches"] == 1
         assert coalescer.counters["cancelled_dropped"] == 2
-
-    def test_size_flush_also_drops_cancelled(self) -> None:
-        # The drop happens at every flush path, not just drain.
-        async def scenario():
-            runner = _RecordingRunner()
-            coalescer = QueryCoalescer(runner, max_batch=3, max_linger_ms=60_000.0)
-            tasks = [asyncio.ensure_future(coalescer.submit((index,))) for index in range(2)]
-            await asyncio.sleep(0)
-            tasks[0].cancel()
-            await asyncio.sleep(0)
-            final = asyncio.ensure_future(coalescer.submit((2,)))  # triggers the size flush
-            await asyncio.sleep(0)
-            results = await asyncio.gather(*tasks, final, return_exceptions=True)
-            return runner, coalescer, results
-
-        runner, coalescer, results = asyncio.run(scenario())
-        assert runner.batches == [[(1,), (2,)]]
-        assert coalescer.counters["cancelled_dropped"] == 1
-        assert results[1] == ("result", (1,))
-        assert results[2] == ("result", (2,))
 
 
 class TestFailurePropagation:
-    def test_runner_exception_reaches_every_future(self) -> None:
+    def test_runner_error_reaches_its_batch_and_the_queued_batch_still_runs(self) -> None:
         async def scenario():
-            coalescer = QueryCoalescer(_RecordingRunner(fail=True), max_batch=64, max_linger_ms=1.0)
-            return await asyncio.gather(
-                *(coalescer.submit((i,)) for i in range(3)), return_exceptions=True
-            )
+            runner = _HeldRunner()
+            coalescer = QueryCoalescer(runner, max_batch=64)
+            first = asyncio.ensure_future(coalescer.submit((0,)))
+            await runner.reached(1)
+            failing = [asyncio.ensure_future(coalescer.submit((-index,))) for index in (1, 2)]
+            await asyncio.sleep(0)
+            runner.release()
+            await runner.reached(2)  # the failing batch is running
+            after = [asyncio.ensure_future(coalescer.submit((index,))) for index in (3, 4)]
+            await asyncio.sleep(0)
+            runner.release(2)
+            settled = await asyncio.gather(first, *failing, *after, return_exceptions=True)
+            return runner, settled
 
-        results = asyncio.run(scenario())
-        assert len(results) == 3
-        assert all(isinstance(result, RuntimeError) for result in results)
+        runner, settled = run(scenario)
+        assert runner.batches == [[(0,)], [(-1,), (-2,)], [(3,), (4,)]]
+        assert settled[0] == ("result", (0,))
+        assert all(isinstance(result, RuntimeError) for result in settled[1:3])
+        assert settled[3:] == [("result", (3,)), ("result", (4,))]
 
     def test_result_count_mismatch_is_an_error(self) -> None:
         async def bad_runner(records):
-            return [None]  # wrong arity on purpose
+            return [None] * (len(records) + 1)  # wrong arity on purpose
 
         async def scenario():
-            coalescer = QueryCoalescer(bad_runner, max_batch=64, max_linger_ms=1.0)
+            coalescer = QueryCoalescer(bad_runner, max_batch=64)
             return await asyncio.gather(
                 coalescer.submit((1,)), coalescer.submit((2,)), return_exceptions=True
             )
 
-        results = asyncio.run(scenario())
+        results = run(scenario)
         assert all(isinstance(result, RuntimeError) for result in results)
-
-
-def coalesced_order(runner: _RecordingRunner) -> List:
-    """All records in dispatch order (flattened batches)."""
-    return [record for batch in runner.batches for record in batch]

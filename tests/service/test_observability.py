@@ -49,7 +49,7 @@ def clean_globals():
 
 @pytest.fixture
 def running_server():
-    server = SimilarityServer(index_factory=make_index, max_linger_ms=1.0)
+    server = SimilarityServer(index_factory=make_index)
     handle = serve_in_thread(server)
     try:
         yield handle, server
@@ -69,7 +69,7 @@ class TestRequestSpanTree:
     def test_query_emits_one_correlated_span_tree(self) -> None:
         records = []
         enable_tracing(records.append)
-        server = SimilarityServer(index_factory=make_index, max_linger_ms=1.0)
+        server = SimilarityServer(index_factory=make_index)
         handle = serve_in_thread(server)
         try:
             with ServiceClient.connect(*handle.address) as client:
@@ -84,7 +84,7 @@ class TestRequestSpanTree:
         assert trace_id.startswith("req-")
         tree = [r for r in records if r["trace"] == trace_id]
         names = {r["name"] for r in tree}
-        # The complete served path: admission wait, coalescer linger, the
+        # The complete served path: admission wait, coalescer wait, the
         # engine-side index work, and the response write — one trace id
         # from protocol decode to response write.
         assert {"request", "admission.wait", "coalesce.wait", "write"} <= names
@@ -99,7 +99,7 @@ class TestRequestSpanTree:
     def test_coalesce_batch_event_rides_the_trace(self) -> None:
         records = []
         enable_tracing(records.append)
-        server = SimilarityServer(index_factory=make_index, max_linger_ms=1.0)
+        server = SimilarityServer(index_factory=make_index)
         handle = serve_in_thread(server)
         try:
             with ServiceClient.connect(*handle.address) as client:
@@ -108,10 +108,10 @@ class TestRequestSpanTree:
             handle.stop()
         batches = [r for r in records if r["name"] == "coalesce.batch"]
         assert batches
-        assert batches[0]["extra"]["size"] >= 1
-        assert batches[0]["extra"]["reason"] in (
-            "size_flushes", "linger_flushes", "drain_flushes"
-        )
+        assert batches[0]["extra"]["size"] == 1
+        # One query against an idle server is dispatched at once.
+        assert batches[0]["extra"]["reason"] == "idle"
+        assert batches[0]["extra"]["wait_seconds"] == 0.0
 
 
 class TestMetricsOperation:
@@ -137,6 +137,7 @@ class TestMetricsOperation:
         batches = _series(snapshot, "repro_service_coalesce_batches_total")
         assert batches is not None and batches["value"] >= 1
         assert _series(snapshot, "repro_service_coalesce_batch_size") is not None
+        assert _series(snapshot, "repro_service_coalesce_wait_seconds") is not None
         assert _series(snapshot, "repro_service_uptime_seconds")["value"] >= 0.0
         assert 'repro_service_request_seconds_bucket{op="query"' in payload["text"]
 
@@ -177,7 +178,7 @@ class TestMetricsOperation:
         # With zero admission capacity every gated op sheds, but metrics —
         # like stats/health — must keep answering.
         server = SimilarityServer(
-            index_factory=make_index, max_inflight=1, max_queue=0, max_linger_ms=1.0
+            index_factory=make_index, max_inflight=1, max_queue=0
         )
         handle = serve_in_thread(server)
         try:
@@ -216,7 +217,7 @@ class TestStatsSurface:
 
     def test_slow_log_capacity_zero_disables(self) -> None:
         server = SimilarityServer(
-            index_factory=make_index, max_linger_ms=1.0, slow_log_capacity=0
+            index_factory=make_index, slow_log_capacity=0
         )
         handle = serve_in_thread(server)
         try:

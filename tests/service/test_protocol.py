@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.protocol import (
     OPERATIONS,
@@ -37,6 +42,64 @@ class TestMessageFraming:
     def test_non_utf8_rejected(self) -> None:
         with pytest.raises(ProtocolError):
             decode_message(b"\xff\xfe{}\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(b"[" * 100_000, id="nested-100k"),
+            pytest.param(
+                b'{"id": ' + b"1" * 5000 + b"}",
+                id="int-5000-digits",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int digit limit",
+                ),
+            ),
+        ],
+    )
+    def test_hostile_lines_rejected(self, line) -> None:
+        # Past the decoder's recursion limit or the interpreter's digit
+        # limit: still a ProtocolError, which the server answers and counts.
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode_message(line)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=16,
+)
+"""Arbitrary JSON documents."""
+
+REQUEST_LIKE = st.dictionaries(
+    st.sampled_from(["op", "id", "record", "records", "k", "floor"]) | st.text(max_size=4),
+    st.sampled_from(OPERATIONS) | JSON_VALUES,
+    max_size=6,
+)
+"""JSON objects shaped like requests, so parse_request gets past the op check."""
+
+
+def decode_and_parse(line: bytes) -> None:
+    """The server's path for one wire line, tolerating only ProtocolError."""
+    try:
+        parse_request(decode_message(line))
+    except ProtocolError:
+        pass
+
+
+class TestHostileInput:
+    """Whatever arrives on the wire fails as a ProtocolError or not at all."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=256))
+    def test_arbitrary_bytes(self, line) -> None:
+        decode_and_parse(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES | REQUEST_LIKE)
+    def test_arbitrary_json(self, value) -> None:
+        decode_and_parse(json.dumps(value).encode("utf-8"))
 
 
 class TestParseRequest:

@@ -46,7 +46,7 @@ def make_index(records=BASE_RECORDS, **options) -> SimilarityIndex:
 
 @pytest.fixture
 def running_server():
-    server = SimilarityServer(index_factory=make_index, max_linger_ms=1.0)
+    server = SimilarityServer(index_factory=make_index)
     handle = serve_in_thread(server)
     try:
         yield handle
@@ -87,9 +87,6 @@ class TestQueryParity:
         with ServiceClient.connect(*running_server.address) as client:
             coalescer = client.stats()["server"]["coalescer"]
         assert coalescer["queries"] >= 48
-        # Coalescing must actually have happened at least once under
-        # 4-way concurrency (48 queries in ≥ 1 shared batch).
-        assert coalescer["batches"] <= coalescer["queries"]
 
 
 class TestInserts:
@@ -122,7 +119,6 @@ class TestInserts:
             index_factory=lambda: make_index(
                 records, workers=2, executor="processes", batch_size=8
             ),
-            max_linger_ms=0.0,
         )
         handle = serve_in_thread(server)
         try:
@@ -189,7 +185,7 @@ class TestWalFailureFailStop:
         # behind a permanent id gap) — while queries stay up.
         server = SimilarityServer(
             index_factory=make_index, data_dir=tmp_path / "state",
-            wal_sync=False, max_linger_ms=0.0,
+            wal_sync=False,
         )
         handle = serve_in_thread(server)
         try:
@@ -209,7 +205,7 @@ class TestWalFailureFailStop:
         # clean shutdown must NOT have snapshotted it into persistence.
         restarted = SimilarityServer(
             index_factory=make_index, data_dir=tmp_path / "state",
-            wal_sync=False, max_linger_ms=0.0,
+            wal_sync=False,
         )
         handle = serve_in_thread(restarted)
         try:
@@ -262,6 +258,19 @@ class _SlowIndex:
         return getattr(self._inner, name)
 
 
+class _GatedIndex(_SlowIndex):
+    """A :class:`_SlowIndex` held by an event instead of a delay: a query
+    stays in flight until the test sets ``gate``."""
+
+    def __init__(self, inner: SimilarityIndex, gate: threading.Event) -> None:
+        super().__init__(inner, 0.0)
+        self._gate = gate
+
+    def query_batch(self, records):
+        self._gate.wait(30.0)
+        return self._inner.query_batch(records)
+
+
 class TestOverloadPolicy:
     def test_flood_beyond_capacity_sheds_busy_admitted_answers_exact(self) -> None:
         # Capacity 1 in flight + 1 queued, every batch pinned for 150 ms:
@@ -274,7 +283,6 @@ class TestOverloadPolicy:
             index_factory=lambda: _SlowIndex(make_index(), 0.15),
             max_inflight=1,
             max_queue=1,
-            max_linger_ms=0.0,
         )
         handle = serve_in_thread(server)
         try:
@@ -316,7 +324,6 @@ class TestOverloadPolicy:
         server = SimilarityServer(
             index_factory=lambda: _SlowIndex(make_index(), 0.2),
             max_conn_inflight=2,
-            max_linger_ms=0.0,
         )
         handle = serve_in_thread(server)
         try:
@@ -353,7 +360,6 @@ class TestOverloadPolicy:
         server = SimilarityServer(
             index_factory=lambda: _SlowIndex(make_index(), 0.3),
             request_deadline_ms=50.0,
-            max_linger_ms=0.0,
         )
         handle = serve_in_thread(server)
         try:
@@ -379,7 +385,6 @@ class TestOverloadPolicy:
         expected = offline.query_batch([BASE_RECORDS[1]])[0]
         server = SimilarityServer(
             index_factory=make_index,
-            max_linger_ms=0.0,
             max_conn_inflight=8,
             write_buffer_high=256,
         )
@@ -424,7 +429,6 @@ class TestOverloadPolicy:
             max_inflight=16,
             max_queue=2,
             max_conn_inflight=16,
-            max_linger_ms=0.0,
         )
         handle = serve_in_thread(server)
         try:
@@ -458,6 +462,51 @@ class TestOverloadPolicy:
                 assert stats["insert_queue_depth"] == 0  # drained afterwards
         finally:
             handle.stop()
+
+
+HOSTILE_LINES = [b"[" * 100_000, b'{"id": ' + b"1" * 5000 + b"}"]
+HOSTILE_IDS = ["nested-100k", "int-5000-digits"]
+
+
+class TestHostileLines:
+    @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
+    def test_full_connection_sheds_it_and_answers_the_inflight_query(self, line) -> None:
+        # With max_conn_inflight=1 and a query held in flight, the hostile
+        # line is shed before it is parsed; peeking at its id must not
+        # take the connection (and the held query's answer) down with it.
+        gate = threading.Event()
+        server = SimilarityServer(
+            index_factory=lambda: _GatedIndex(make_index(), gate), max_conn_inflight=1
+        )
+        handle = serve_in_thread(server)
+        try:
+            sock = socket.create_connection(handle.address, timeout=30.0)
+            try:
+                reader = sock.makefile("rb")
+                query = {"id": "q", "op": "query", "record": list(BASE_RECORDS[0])}
+                sock.sendall((json.dumps(query) + "\n").encode() + line + b"\n")
+                shed = json.loads(reader.readline())
+                gate.set()
+                answered = json.loads(reader.readline())
+            finally:
+                sock.close()
+        finally:
+            gate.set()
+            handle.stop()
+        assert shed["busy"] is True and shed["id"] is None
+        assert answered["id"] == "q" and answered["ok"] is True
+        matches = [(int(i), float(s)) for i, s in answered["result"]["matches"]]
+        assert matches == make_index().query_batch([BASE_RECORDS[0]])[0]
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
+    def test_fresh_connection_counts_it_as_a_protocol_error(self, running_server, line) -> None:
+        with ServiceClient.connect(*running_server.address) as client:
+            client._socket.sendall(line + b"\n")
+            response = json.loads(client._reader.readline())
+            assert response["ok"] is False
+            assert "malformed" in response["error"]
+            assert client.health()["status"] == "ok"
+            assert client.stats()["server"]["protocol_errors"] == 1
 
 
 class TestStopIdempotence:
@@ -528,7 +577,7 @@ class TestPersistenceLifecycle:
         data_dir = tmp_path / "state"
         probes = list(BASE_RECORDS) + [(100, 101, 102), (1, 2, 3)]
         server = SimilarityServer(
-            index_factory=make_index, data_dir=data_dir, wal_sync=False, max_linger_ms=0.0
+            index_factory=make_index, data_dir=data_dir, wal_sync=False
         )
         handle = serve_in_thread(server)
         with ServiceClient.connect(*handle.address) as client:
@@ -537,7 +586,7 @@ class TestPersistenceLifecycle:
         handle.stop()  # clean: final snapshot
 
         restarted = SimilarityServer(
-            index_factory=make_index, data_dir=data_dir, wal_sync=False, max_linger_ms=0.0
+            index_factory=make_index, data_dir=data_dir, wal_sync=False
         )
         handle = serve_in_thread(restarted)
         try:
@@ -554,7 +603,7 @@ class TestPersistenceLifecycle:
         killed_dir = tmp_path / "killed"
         probes = list(BASE_RECORDS) + [(100, 101, 102), (60, 61, 62, 63)]
         server = SimilarityServer(
-            index_factory=make_index, data_dir=data_dir, wal_sync=False, max_linger_ms=0.0
+            index_factory=make_index, data_dir=data_dir, wal_sync=False
         )
         handle = serve_in_thread(server)
         with ServiceClient.connect(*handle.address) as client:
@@ -565,7 +614,7 @@ class TestPersistenceLifecycle:
         handle.stop()
 
         restarted = SimilarityServer(
-            index_factory=make_index, data_dir=killed_dir, wal_sync=False, max_linger_ms=0.0
+            index_factory=make_index, data_dir=killed_dir, wal_sync=False
         )
         handle = serve_in_thread(restarted)
         try:
@@ -582,7 +631,6 @@ class TestPersistenceLifecycle:
             data_dir=data_dir,
             wal_sync=False,
             snapshot_every=3,
-            max_linger_ms=0.0,
         )
         handle = serve_in_thread(server)
         try:

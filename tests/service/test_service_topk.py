@@ -35,7 +35,7 @@ def make_cosine_index() -> SimilarityIndex:
 
 @pytest.fixture
 def running_server():
-    server = SimilarityServer(index_factory=make_index, max_linger_ms=1.0)
+    server = SimilarityServer(index_factory=make_index)
     handle = serve_in_thread(server)
     try:
         yield handle
@@ -45,7 +45,7 @@ def running_server():
 
 @pytest.fixture
 def running_cosine_server():
-    server = SimilarityServer(index_factory=make_cosine_index, max_linger_ms=1.0)
+    server = SimilarityServer(index_factory=make_cosine_index)
     handle = serve_in_thread(server)
     try:
         yield handle

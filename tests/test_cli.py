@@ -80,7 +80,7 @@ class TestParser:
 
 
 class TestBadValuesExitTwo:
-    """Library argument validation becomes a usage error, never a traceback."""
+    """Bad values and OS-level failures become a usage error, never a traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -91,8 +91,27 @@ class TestBadValuesExitTwo:
             ["join", "{data}", "--measure", "overlap"],
             ["index", "build", "{data}", "--threshold", "0", "--out", "{tmp}/x.idx"],
             ["serve", "{data}", "--workers", "0"],
+            ["join", "{tmp}/missing.txt"],
+            ["serve", "{tmp}/missing.txt"],
+            ["index", "query", "{tmp}/missing.idx", "{data}"],
+            ["serve", "{data}", "--port", "70000"],
+            ["serve", "{data}", "--port", "-1"],
+            ["serve", "{data}", "--max-batch", "0"],
         ],
-        ids=["workers", "threshold", "repetitions", "measure", "index-threshold", "serve-workers"],
+        ids=[
+            "workers",
+            "threshold",
+            "repetitions",
+            "measure",
+            "index-threshold",
+            "serve-workers",
+            "join-missing",
+            "serve-missing",
+            "index-query-missing",
+            "serve-port-70000",
+            "serve-port-negative",
+            "serve-max-batch-0",
+        ],
     )
     def test_exit_code_two_without_traceback(self, dataset_file, tmp_path, argv) -> None:
         argv = [arg.format(data=dataset_file, tmp=tmp_path) for arg in argv]
@@ -100,6 +119,19 @@ class TestBadValuesExitTwo:
         assert completed.returncode == 2, completed.stderr
         assert "Traceback" not in completed.stderr
         assert "repro-join: error: " in completed.stderr
+
+    def test_serve_port_in_use(self, dataset_file) -> None:
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            completed = run_cli("serve", str(dataset_file), "--port", str(port))
+        assert completed.returncode == 2, completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert "repro-join: error: " in completed.stderr
+        assert "address already in use" in completed.stderr
 
 
 class TestJoinCommand:
@@ -287,7 +319,6 @@ class TestServeCommand:
         assert args.data_dir is None
         assert args.port == 0
         assert args.max_batch == 64
-        assert args.max_linger_ms == 2.0
         assert args.snapshot_every == 512
         assert not args.no_wal_sync
 
