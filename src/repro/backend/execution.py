@@ -343,10 +343,11 @@ class ExecutionBackend:
     def _overlaps_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
         """Exact (possibly weighted) overlaps of one record against a block."""
         if self._value_weights is not None:
+            start = self._offsets[record_id]
             return csr_weighted_overlaps_one_to_many(
                 self._record_tokens(record_id),
+                self._value_weights[start : start + self.sizes[record_id]],
                 self._values,
-                self._value_weights,
                 self._offsets,
                 self.sizes,
                 others,

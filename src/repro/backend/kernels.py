@@ -5,8 +5,8 @@ both verify candidates with the same primitive: the exact intersection size
 of one sorted token array against a block of CSR-packed records, reduced via
 ``searchsorted`` plus a segmented sum.  The kernels live here so the two can
 never diverge — the backend binds them to a
-:class:`~repro.core.preprocess.PreprocessedCollection`, the index binds them
-to its own incrementally grown arrays.
+:class:`~repro.core.preprocess.PreprocessedCollection`, the index to its
+growable :class:`~repro.store.RecordStore`.
 
 Acceptance is always decided with the integer overlap bound
 ``|x ∩ y| ≥ ⌈λ/(1+λ)(|x| + |y|)⌉``
@@ -107,8 +107,8 @@ def csr_overlaps_one_to_many(
 
 def csr_weighted_overlaps_one_to_many(
     query_tokens: np.ndarray,
+    query_weights: np.ndarray,
     values: np.ndarray,
-    value_weights: np.ndarray,
     offsets: np.ndarray,
     sizes: np.ndarray,
     others: np.ndarray,
@@ -116,10 +116,11 @@ def csr_weighted_overlaps_one_to_many(
     """Weighted intersections of one sorted token array against a CSR block.
 
     The weighted twin of :func:`csr_overlaps_one_to_many`: instead of
-    *counting* matched tokens it sums their weights (``value_weights`` is
-    aligned element-for-element with ``values``), which is the overlap a
+    *counting* matched tokens it sums their weights, which is the overlap a
     weighted :class:`~repro.similarity.measures.Measure` plugs into its
-    required-overlap bound.  Returns float64 sums.
+    required-overlap bound.  Every matched token is a query token, so the
+    weights come from the query side (``query_weights`` is aligned
+    element-for-element with ``query_tokens``).  Returns float64 sums.
     """
     query_tokens = np.asarray(query_tokens, dtype=values.dtype)
     others = np.asarray(others, dtype=np.intp)
@@ -135,7 +136,7 @@ def csr_weighted_overlaps_one_to_many(
         positions = np.searchsorted(query_tokens, tokens)
         matches = positions < query_tokens.size
         matches &= query_tokens[np.minimum(positions, query_tokens.size - 1)] == tokens
-        return np.array([float(value_weights[start:stop][matches].sum())], dtype=np.float64)
+        return np.array([float(query_weights[positions[matches]].sum())], dtype=np.float64)
     starts = offsets[others]
     lengths = sizes[others]
     boundaries = np.zeros(others.size + 1, dtype=np.int64)
@@ -145,10 +146,9 @@ def csr_weighted_overlaps_one_to_many(
     )
     tokens = values[flat_index]
 
-    positions = np.searchsorted(query_tokens, tokens)
-    matches = positions < query_tokens.size
-    matches &= query_tokens[np.minimum(positions, query_tokens.size - 1)] == tokens
-    return np.add.reduceat(np.where(matches, value_weights[flat_index], 0.0), boundaries[:-1])
+    positions = np.minimum(np.searchsorted(query_tokens, tokens), query_tokens.size - 1)
+    matches = query_tokens[positions] == tokens
+    return np.add.reduceat(np.where(matches, query_weights[positions], 0.0), boundaries[:-1])
 
 
 def required_overlaps(

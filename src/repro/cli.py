@@ -150,19 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification backend for queries (numpy, the only one)",
     )
     index_build.add_argument("--seed", type=int, default=None, help="seed for the index hashing")
-    index_build.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel workers for the bulk signature build and for query batches "
-        "(stored on the index; default 1)",
-    )
-    index_build.add_argument(
-        "--executor",
-        choices=EXECUTOR_NAMES,
-        default=None,
-        help="how index workers are dispatched (default processes)",
-    )
 
     index_query = index_subparsers.add_parser(
         "query", help="run point lookups from a query file against a pickled index"
@@ -177,18 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_query.add_argument(
         "--out", type=str, default=None, help="write matches as CSV to this path (default stdout)"
-    )
-    index_query.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the loaded index's parallel query workers for this run",
-    )
-    index_query.add_argument(
-        "--executor",
-        choices=EXECUTOR_NAMES,
-        default=None,
-        help="override the loaded index's executor for this run",
     )
 
     index_topk = index_subparsers.add_parser(
@@ -209,18 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_topk.add_argument(
         "--out", type=str, default=None, help="write matches as CSV to this path (default stdout)"
-    )
-    index_topk.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the loaded index's parallel query workers for this run",
-    )
-    index_topk.add_argument(
-        "--executor",
-        choices=EXECUTOR_NAMES,
-        default=None,
-        help="override the loaded index's executor for this run",
     )
 
     serve_parser = subparsers.add_parser(
@@ -261,13 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification backend for queries (numpy, the only one)",
     )
     serve_parser.add_argument("--seed", type=int, default=None, help="seed for the index hashing")
-    serve_parser.add_argument(
-        "--workers", type=int, default=None, help="parallel query workers of the served index"
-    )
-    serve_parser.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="executor of the served index (default processes)",
-    )
     serve_parser.add_argument("--host", type=str, default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve_parser.add_argument(
         "--port", type=int, default=0, help="bind port (default 0: pick an ephemeral port)"
@@ -429,11 +385,6 @@ def _command_index(args: argparse.Namespace) -> int:
 
     if args.index_command == "build":
         dataset = read_dataset(args.input)
-        options = {}
-        if args.workers is not None:
-            options["workers"] = args.workers
-        if args.executor is not None:
-            options["executor"] = args.executor
         index = SimilarityIndex.build(
             dataset.records,
             args.threshold,
@@ -441,7 +392,6 @@ def _command_index(args: argparse.Namespace) -> int:
             backend=args.backend,
             seed=args.seed,
             measure=args.measure,
-            **options,
         )
         index.save(args.out)
         print(
@@ -457,12 +407,6 @@ def _command_index(args: argparse.Namespace) -> int:
         index = SimilarityIndex.load(args.index)
     except IndexPersistenceError as error:
         raise SystemExit(str(error))
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ValueError("workers must be at least 1")
-        index.workers = args.workers
-    if args.executor is not None:
-        index.executor = args.executor
     queries = read_dataset(args.queries)
     inserting = getattr(args, "insert", False)
     # A loaded index carries the stats of every previous session; report the
@@ -528,29 +472,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     candidates = "exact" if args.candidates is None else args.candidates
 
     def factory() -> SimilarityIndex:
-        options = {}
-        if args.workers is not None:
-            options["workers"] = args.workers
-        if args.executor is not None:
-            options["executor"] = args.executor
-        if args.input is not None:
-            dataset = read_dataset(args.input)
-            return SimilarityIndex.build(
-                dataset.records,
-                threshold,
-                candidates=candidates,
-                backend=args.backend,
-                seed=args.seed,
-                measure=args.measure,
-                **options,
-            )
-        return SimilarityIndex(
+        records = read_dataset(args.input).records if args.input is not None else []
+        return SimilarityIndex.build(
+            records,
             threshold,
             candidates=candidates,
             backend=args.backend,
             seed=args.seed,
             measure=args.measure,
-            **options,
         )
 
     server = SimilarityServer(
@@ -591,13 +520,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             except (NotImplementedError, RuntimeError):  # platforms without it
                 pass
         await server.start()
-        # --workers/--executor are runtime settings, not data: apply them to
-        # the served index even when it came from a snapshot (mirroring the
-        # `index query` overrides).
-        if args.workers is not None:
-            server.index.workers = args.workers
-        if args.executor is not None:
-            server.index.executor = args.executor
         # An existing snapshot wins over the command line (it IS the served
         # index); warn when an *explicitly passed* flag disagrees with it.
         requested = {

@@ -155,10 +155,10 @@ def sample_sketch_hashers(
     ``coordinates[b]`` is the signature coordinate feeding sketch bit ``b``
     (cycling through the available coordinates when ``64 * ell > t``);
     ``multipliers[b]`` is the odd random multiplier of the 1-bit
-    multiply-shift hash ``bit = msb(a_b * value)``.  Shared by the bulk
-    :func:`build_sketches` and the incremental sketcher of
-    :class:`repro.index.SimilarityIndex`, so the two derive bit-for-bit
-    identical sketches from the same seed.
+    multiply-shift hash ``bit = msb(a_b * value)``.  Shared by
+    :func:`build_sketches` and :class:`repro.index.SimilarityIndex`, which
+    keeps one sample to sketch its inserts and queries, so the two derive
+    bit-for-bit identical sketches from the same seed.
     """
     if num_words < 1:
         raise ValueError("num_words must be positive")

@@ -1,25 +1,28 @@
-"""Chosen Path index for approximate set similarity search.
+"""Chosen Path forest: the candidate structure of ``SimilarityIndex(candidates="chosenpath")``.
 
 This is the data structure of Christiani & Pagh ("Set similarity search
 beyond MinHash", STOC 2017) that inspired CPSJOIN — reference [5] of the
-paper.  The index grows a forest of random *token trees*: at every node a
-fresh hash function ``r`` maps tokens to ``[0, 1)`` and a record follows the
-child for token ``j ∈ x`` whenever ``r(j) < 1/(λ |x|)``.  A record is stored
-in every leaf (node at the cut-off depth) it reaches; a query walks the same
-trees with the same hash functions, and every indexed record it meets at a
-leaf becomes a candidate that is verified exactly.
+paper.  The forest grows random *token trees*: at every node a fresh hash
+function ``r`` maps tokens to ``[0, 1)`` and a record follows the child for
+token ``j ∈ x`` whenever ``r(j) < 1/(λ |x|)``.  A record id is stored in
+every leaf (node at the cut-off depth) the record reaches; a query walks the
+same trees with the same hash functions, and every id it meets at a leaf is
+a candidate.
 
 Two records with Braun–Blanquet similarity at least ``λ`` follow a common
 path of length ``k`` with probability at least ``1/(k+1)`` (Lemma 5 /
-Agresti), so with ``repetitions`` independent trees the index reports a
-qualifying record with probability ``1 - (1 - 1/(k+1))^repetitions``.
+Agresti), so with ``repetitions`` independent trees a qualifying record is
+a candidate with probability ``1 - (1 - 1/(k+1))^repetitions``.
 
-Differences from CPSJOIN (Section IV-B of the paper): the index is
+Differences from CPSJOIN (Section IV-B of the paper): the forest is
 parameterized by a fixed depth and number of trees (non-adaptive), stores
 every root-to-leaf path (space grows with both), and answers *queries*
-instead of materializing a join.  It is included both as the historical
-substrate of the paper's contribution and as a practical index for
-index-once / query-many workloads.
+instead of materializing a join.
+
+The forest holds record ids only; :class:`repro.index.SimilarityIndex` owns
+the records, normalizes them, and filters and verifies the candidates.
+Only inserts create tree nodes: a query walks the nodes that exist, so
+reading never changes the forest.
 """
 
 from __future__ import annotations
@@ -30,19 +33,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.hashing.universal import UniformHash
-from repro.similarity.verify import verify_pair
 
 __all__ = ["ChosenPathIndex"]
 
 
 class ChosenPathIndex:
-    """A Chosen Path forest over a collection of token sets.
+    """A Chosen Path forest over record ids.
 
     Parameters
     ----------
     threshold:
-        Similarity threshold ``λ`` used both for the branching probability
-        ``1/(λ|x|)`` and for verifying query results.
+        Similarity threshold ``λ`` of the branching probability
+        ``1/(λ|x|)``.
     depth:
         Length of the root-to-leaf paths (the ``k`` of the analysis).  When
         ``None`` a depth of ``⌈log₂(1/target_miss)⌉`` is not meaningful for
@@ -71,87 +73,58 @@ class ChosenPathIndex:
         self.depth = depth if depth is not None else 4
         self.repetitions = repetitions
         self._rng = np.random.default_rng(seed)
-        # Hash functions are lazily created per (tree, path) node so that the
-        # forest never materializes nodes no record reaches.
+        # Hash functions are created per (tree, path) node by the inserts that
+        # reach it, so the forest never materializes nodes no record reaches.
         self._node_hashes: Dict[Tuple[int, Tuple[int, ...]], UniformHash] = {}
         # Leaf buckets: (tree, full path) -> record ids.
         self._leaves: Dict[Tuple[int, Tuple[int, ...]], List[int]] = defaultdict(list)
-        self._records: List[Tuple[int, ...]] = []
 
     # ------------------------------------------------------------------ internals
-    def _node_hash(self, tree: int, path: Tuple[int, ...]) -> UniformHash:
-        key = (tree, path)
-        if key not in self._node_hashes:
-            self._node_hashes[key] = UniformHash(self._rng)
-        return self._node_hashes[key]
-
-    def _paths_of(self, record: Tuple[int, ...], tree: int) -> List[Tuple[int, ...]]:
-        """All root-to-leaf paths the record follows in one tree.
+    def _paths_of(self, tokens: Sequence[int], tree: int, create: bool) -> List[Tuple[int, ...]]:
+        """All root-to-leaf paths the sorted token set follows in one tree.
 
         Each node tests all of the record's tokens in one vectorized hash
         pass.  ``UniformHash.value`` masks its key to 32 bits while the
         vectorized ``values`` does not, so the tokens are masked here once —
         keeping the branching decisions (and therefore existing persisted
-        buckets) identical to the scalar per-token loop.
+        buckets) identical to the scalar per-token loop.  With ``create``
+        (inserts) a node without a hash function gets one; without it
+        (queries) the walk ends there, as no leaf lies below such a node.
         """
-        branch_probability = min(1.0, 1.0 / (self.threshold * len(record)))
-        tokens = np.asarray(record, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
+        branch_probability = min(1.0, 1.0 / (self.threshold * len(tokens)))
+        masked = np.asarray(tokens, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
+        node_hashes = self._node_hashes
         frontier: List[Tuple[int, ...]] = [()]
         for _ in range(self.depth):
             next_frontier: List[Tuple[int, ...]] = []
             for path in frontier:
-                node_hash = self._node_hash(tree, path)
-                branching = node_hash.values(tokens) < branch_probability
+                node_hash = node_hashes.get((tree, path))
+                if node_hash is None:
+                    if not create:
+                        continue
+                    node_hash = node_hashes[(tree, path)] = UniformHash(self._rng)
+                branching = node_hash.values(masked) < branch_probability
                 for position in np.flatnonzero(branching).tolist():
-                    next_frontier.append(path + (record[position],))
+                    next_frontier.append(path + (tokens[position],))
             frontier = next_frontier
             if not frontier:
                 break
         return frontier
 
     # ------------------------------------------------------------------ public API
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def insert(self, record: Sequence[int]) -> int:
-        """Insert a record into every tree of the forest; returns its id."""
-        record_tuple = tuple(sorted(set(int(token) for token in record)))
-        if not record_tuple:
-            raise ValueError("cannot index an empty record")
-        record_id = len(self._records)
-        self._records.append(record_tuple)
+    def insert(self, record_id: int, tokens: Sequence[int]) -> None:
+        """Add a record id to every leaf its sorted, distinct tokens reach."""
         for tree in range(self.repetitions):
-            for path in self._paths_of(record_tuple, tree):
+            for path in self._paths_of(tokens, tree, create=True):
                 self._leaves[(tree, path)].append(record_id)
-        return record_id
 
-    def insert_all(self, records: Sequence[Sequence[int]]) -> List[int]:
-        """Insert many records; returns their ids."""
-        return [self.insert(record) for record in records]
-
-    def candidates(self, record: Sequence[int]) -> Set[int]:
-        """Ids of indexed records sharing a leaf with the query in any tree."""
-        record_tuple = tuple(sorted(set(int(token) for token in record)))
+    def candidates(self, tokens: Sequence[int]) -> Set[int]:
+        """Ids sharing a leaf with the sorted, distinct query tokens in any tree."""
         found: Set[int] = set()
         for tree in range(self.repetitions):
-            for path in self._paths_of(record_tuple, tree):
+            for path in self._paths_of(tokens, tree, create=False):
                 found.update(self._leaves.get((tree, path), ()))
         return found
-
-    def query(self, record: Sequence[int]) -> List[Tuple[int, float]]:
-        """Indexed records with Jaccard similarity ≥ threshold to the query.
-
-        Every candidate is verified exactly, so precision is 1.0; recall per
-        qualifying record is at least ``1 - (1 - 1/(depth+1))^repetitions``
-        by the Agresti bound.
-        """
-        record_tuple = tuple(sorted(set(int(token) for token in record)))
-        results: List[Tuple[int, float]] = []
-        for candidate_id in self.candidates(record_tuple):
-            accepted, similarity = verify_pair(record_tuple, self._records[candidate_id], self.threshold)
-            if accepted:
-                results.append((candidate_id, similarity))
-        return sorted(results, key=lambda item: (-item[1], item[0]))
 
     def recall_lower_bound(self) -> float:
         """Per-query lower bound on the probability of reporting a qualifying record."""
@@ -169,7 +142,3 @@ class ChosenPathIndex:
         if record_size < 1:
             raise ValueError("record_size must be positive")
         return (1.0 / self.threshold) ** self.depth
-
-    def record(self, record_id: int) -> Tuple[int, ...]:
-        """The stored record with the given id."""
-        return self._records[record_id]

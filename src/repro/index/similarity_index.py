@@ -3,38 +3,36 @@
 The join engines materialize all similar pairs of a static collection in one
 batch.  Production workloads are usually the other shape: a collection is
 indexed once, then served point lookups (``query``) and incremental updates
-(``insert``) for a long time — rebuilding the whole index per batch of new
-records wastes almost all of its work.  :class:`SimilarityIndex` is that
-query-time counterpart, built on the same staged pipeline as the joins:
+(``insert``) for a long time.  :class:`SimilarityIndex` is that query-time
+counterpart, made of three parts:
 
-* **CandidateStage** — pluggable candidate generation per query:
-  ``"exact"`` (the default) uses a token inverted index, whose candidates
-  provably contain every record with ``J > 0`` against the query, so query
-  results match an exact batch join *exactly*; ``"chosenpath"`` and
-  ``"lsh"`` reuse the Chosen Path forest / MinHash LSH banding structures of
-  this subpackage for sublinear approximate lookups.
-* **SketchFilterStage** — size-compatibility probe plus (optionally) the
-  1-bit minwise sketch filter.  Sketches are maintained incrementally with
-  the identical bit hashes :func:`repro.hashing.sketch.build_sketches` uses,
-  so an incrementally grown index is bit-for-bit the index built in one
-  shot.  In ``"exact"`` mode the sketch filter defaults to *off* — it is the
-  one stage that can drop a true positive — preserving the exactness
-  contract.
-* **VerifyStage** — exact verification through the same kernels as the join
-  backend.  In ``"exact"`` mode the candidate stage already counts every
-  candidate's exact overlap (ScanCount over the query's posting lists), so
-  verification is a vectorized comparison against the measure's integer
-  overlap bound; the approximate modes verify their candidates with the
-  CSR ``searchsorted`` intersection
-  (:func:`repro.backend.kernels.csr_overlaps_one_to_many`).
+* **One record store.**  A growable :class:`repro.store.RecordStore` holds
+  the index's only copy of each record: CSR tokens and sizes, plus — when
+  the sketch filter is on — 1-bit minwise sketch words derived with the
+  hashers and packing :func:`repro.hashing.sketch.build_sketches` uses for
+  the join's store, so a grown index is bit for bit the index built in one
+  shot.  Weighted measures add per-record measure sizes.
+* **One candidate structure holding record ids.**  ``"exact"`` (the
+  default) keeps token posting lists; every record sharing a token with the
+  query is a candidate, so query results match an exact batch join
+  *exactly*.  ``"chosenpath"`` and ``"lsh"`` keep the Chosen Path forest of
+  :class:`repro.index.ChosenPathIndex` or the buckets of
+  :class:`repro.index.MinHashLSHIndex` for sublinear approximate lookups.
+* **One query pipeline.**  (1) Candidate generation, in exact mode with
+  each candidate's exact overlap from ScanCount over the query's postings;
+  (2) the filter: the size probe plus the optional sketch cut-off, off by
+  default in exact mode because it is the one stage that can drop a true
+  positive; (3) exact overlaps through the CSR ``searchsorted``
+  intersection (:func:`repro.backend.kernels.csr_overlaps_one_to_many`)
+  for the candidates that arrived without them; (4) one accept step against
+  the measure's overlap bound.
 
-Queries are served in memory-bounded batches (``batch_size`` queries at a
-time), and all storage grows by amortized O(1) appends: token CSR arrays and
-sketch words double in capacity, so ``insert`` never rebuilds the index.
-Per-stage query timings and counters accumulate in :attr:`stats`
-(``candidate_seconds`` / ``filter_seconds`` / ``verify_seconds``), with
-build time in ``index_build_seconds`` — the same fields the batch joins
-report.
+Queries run serially, in chunks of :data:`QUERY_CHUNK_SIZE`.  Inserts append
+to the store and the candidate structure with amortized O(1) growth, so no
+insert rebuilds the index.  Per-stage query timings and counters accumulate
+in :attr:`SimilarityIndex.stats` (``candidate_seconds`` /
+``filter_seconds`` / ``verify_seconds``), with build time in
+``index_build_seconds`` — the same fields the batch joins report.
 """
 
 from __future__ import annotations
@@ -63,6 +61,7 @@ from repro.obs.metrics import active_metrics
 from repro.obs.tracing import span
 from repro.result import JoinStats, canonical_pair
 from repro.similarity.measures import Measure, get_measure
+from repro.store.record_store import RecordStore, grow
 
 __all__ = [
     "SimilarityIndex",
@@ -79,12 +78,12 @@ _WORD_BITS = 64
 _SAVE_MAGIC = b"REPRO-SIMIDX\n"
 """File magic of :meth:`SimilarityIndex.save`; a bare pickle never starts with it."""
 
-SAVE_FORMAT_VERSION = 3
+SAVE_FORMAT_VERSION = 4
 """On-disk format version written (and the only one read) by :meth:`SimilarityIndex.save`.
 
-Version 3 indexes carry the numpy backend and the serial/processes executor
-settings.  Files of any other version are refused with a message asking for
-a rebuild (``repro-join index build``).
+Version 4 indexes keep their records in one growable record store and carry
+no parallel-query settings.  Files of any other version are refused with a
+message asking for a rebuild (``repro-join index build``).
 """
 
 
@@ -96,6 +95,9 @@ TOKEN_INT64_MIN = -(2**63)
 TOKEN_INT64_MAX = 2**63 - 1
 """Token bounds of the index's int64 storage (shared with the wire protocol)."""
 
+_HASHED_TOKEN_MAX = 2**32 - 1
+"""Largest token a hashing index takes: MinHash and the Chosen Path trees hash 32-bit keys."""
+
 
 def normalized_tokens(record, action: str) -> Tuple[int, ...]:
     """Sorted, deduplicated int tokens, range-checked to fit int64 storage.
@@ -104,9 +106,9 @@ def normalized_tokens(record, action: str) -> Tuple[int, ...]:
     a WAL-replayed record can never normalize differently than the live
     insert did).  The range check must happen *before* any index structure
     is touched: an out-of-range token surfacing as an OverflowError halfway
-    through an insert would leave the index half-applied (record list
-    grown, CSR arrays not), which the serving layer's durability contract
-    cannot tolerate.
+    through an insert would leave the index half-applied (store grown,
+    postings not), which the serving layer's durability contract cannot
+    tolerate.
     """
     normalized = tuple(sorted({int(token) for token in record}))
     if not normalized:
@@ -148,75 +150,53 @@ def topk_from_matches(
 
 _CANDIDATE_MODES = ("exact", "chosenpath", "lsh")
 
-# ---------------------------------------------------------------------------
-# Process-executor side of query_batch: each worker holds one unpickled copy
-# of the index (shipped once per pool through the initializer) and serves
-# query chunks, returning matches plus its counter deltas.
-# ---------------------------------------------------------------------------
-_POOL_INDEX: Optional["SimilarityIndex"] = None
+QUERY_CHUNK_SIZE = 1024
+"""Queries per chunk of :meth:`SimilarityIndex.query_batch`.
 
-
-def _query_pool_init(payload: bytes) -> None:
-    global _POOL_INDEX
-    import pickle
-
-    _POOL_INDEX = pickle.loads(payload)
-
-
-def _query_counters(stats: "JoinStats") -> Dict[str, float]:
-    """The counter deltas a query worker reports back to the parent."""
-    return {
-        "pre_candidates": float(stats.pre_candidates),
-        "candidates": float(stats.candidates),
-        "verified": float(stats.verified),
-        "candidate_seconds": stats.candidate_seconds,
-        "filter_seconds": stats.filter_seconds,
-        "verify_seconds": stats.verify_seconds,
-        "queries": stats.extra.get("queries", 0.0),
-    }
-
-
-def _query_pool_chunk(chunk, excludes):
-    assert _POOL_INDEX is not None, "query pool worker used before initialization"
-    stats = JoinStats(algorithm="SIMINDEX", threshold=_POOL_INDEX.threshold)
-    matches = _POOL_INDEX._query_chunk(chunk, excludes, stats)
-    return matches, _query_counters(stats)
-
-
-def _signature_block_worker(minhasher: MinHasher, records: List[Record]) -> np.ndarray:
-    """Compute the MinHash signatures of a record shard (build-time worker)."""
-    block = np.empty((len(records), minhasher.num_functions), dtype=np.uint64)
-    for position, record in enumerate(records):
-        block[position] = minhasher.signature(record)
-    return block
+With the sketch filter on, a chunk's sketches are derived as one block, so
+the chunk size bounds those temporaries.
+"""
 
 
 class _PostingLists:
-    """Token → record-id postings with amortized O(1) numpy appends.
+    """Token → ids of the records holding it, in id order.
 
-    Each posting list is a capacity-doubling ``intp`` array, so the exact
-    candidate stage can merge a query's postings with one C-speed
-    ``np.concatenate`` instead of iterating Python lists.
+    Each list is a buffer grown by :func:`repro.store.record_store.grow` plus
+    its used length, so the exact candidate stage can merge a query's
+    postings with one C-speed ``np.concatenate``.  A pickle carries the
+    lists as three exact-length arrays (tokens, lengths, ids).
     """
 
     def __init__(self) -> None:
-        # token -> [array, used_length]
-        self._lists: dict = {}
+        # token -> [buffer, used length]
+        self._lists: Dict[int, list] = {}
 
-    def append(self, token: int, record_id: int) -> None:
-        entry = self._lists.get(token)
-        if entry is None:
-            array = np.zeros(4, dtype=np.intp)
-            array[0] = record_id
-            self._lists[token] = [array, 1]
-            return
-        array, length = entry
-        if length >= array.shape[0]:
-            grown = np.zeros(2 * array.shape[0], dtype=np.intp)
-            grown[:length] = array[:length]
-            entry[0] = array = grown
-        array[length] = record_id
-        entry[1] = length + 1
+    def extend(self, first_id: int, values: np.ndarray, sizes: np.ndarray) -> None:
+        """Append the postings of records ``first_id, first_id + 1, …``.
+
+        ``values``/``sizes`` are their CSR tokens and set sizes; one stable
+        sort of the tokens groups the block's ids by token.
+        """
+        ids = np.repeat(np.arange(first_id, first_id + sizes.shape[0], dtype=np.intp), sizes)
+        order = np.argsort(values, kind="stable")
+        values, ids = values[order], ids[order]
+        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        self._add_runs(values[starts], np.diff(np.append(starts, values.size)), ids)
+
+    def _add_runs(self, tokens: np.ndarray, lengths: np.ndarray, ids: np.ndarray) -> None:
+        """Append ``ids`` grouped by token: the next ``lengths[i]`` ids go to ``tokens[i]``."""
+        lists = self._lists
+        end = 0
+        for token, length in zip(tokens.tolist(), lengths.tolist()):
+            start, end = end, end + length
+            entry = lists.get(token)
+            if entry is None:
+                lists[token] = [ids[start:end], length]
+                continue
+            buffer, used = entry
+            buffer = entry[0] = grow(buffer, used, length)
+            buffer[used : used + length] = ids[start:end]
+            entry[1] = used + length
 
     def get(self, token: int) -> Optional[np.ndarray]:
         entry = self._lists.get(token)
@@ -224,43 +204,24 @@ class _PostingLists:
             return None
         return entry[0][: entry[1]]
 
-    def __contains__(self, token: int) -> bool:
-        return token in self._lists
+    def __getstate__(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        entries = self._lists.values()
+        tokens = np.fromiter(self._lists, dtype=np.int64, count=len(self._lists))
+        lengths = np.fromiter((used for _, used in entries), dtype=np.int64, count=len(self._lists))
+        ids = np.concatenate([buffer[:used] for buffer, used in entries] or [np.zeros(0, np.intp)])
+        return tokens, lengths, ids
 
-
-class _IncrementalSketcher:
-    """Per-record 1-bit minwise sketches, identical to ``build_sketches``.
-
-    Samples the coordinate selection and multiply-shift multipliers once
-    (through the same :func:`repro.hashing.sketch.sample_sketch_hashers` the
-    bulk builder uses) so a record sketched on insert gets exactly the bits
-    a bulk :func:`repro.hashing.sketch.build_sketches` call with the same
-    seed would assign it.
-    """
-
-    def __init__(self, embedding_size: int, num_words: int, seed: Optional[int]) -> None:
-        self.num_words = num_words
-        self.num_bits = num_words * _WORD_BITS
-        self._coordinates, self._multipliers = sample_sketch_hashers(
-            embedding_size, num_words, seed
-        )
-
-    def sketch_rows(self, signatures: np.ndarray) -> np.ndarray:
-        """Pack the sketch words of a ``(n, t)`` signature block in one shot.
-
-        The bit selection, multiply-shift and packing all broadcast over the
-        block, so batching queries amortizes the packing loop — and the bits
-        are identical to sketching each row individually.
-        """
-        return pack_sketch_rows(signatures, self._coordinates, self._multipliers, self.num_words)
-
-    def sketch_row(self, signature: np.ndarray) -> np.ndarray:
-        """Pack the sketch words of one length-``t`` signature row."""
-        return self.sketch_rows(signature[np.newaxis, :])[0]
+    def __setstate__(self, state: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        self._lists = {}
+        self._add_runs(*state)
 
 
 class SimilarityIndex:
     """An incrementally updatable index answering similarity threshold queries.
+
+    One growable :class:`~repro.store.RecordStore` holds every record once,
+    one candidate structure holds record ids, and every query runs the one
+    pipeline described in the module docstring.
 
     Parameters
     ----------
@@ -276,11 +237,10 @@ class SimilarityIndex:
         floor; the floorless overlap coefficient / containment measures are
         limited to ``candidates="exact"`` without sketches.
     candidates:
-        Candidate generation structure: ``"exact"`` (token inverted index,
-        recall 1 — query results equal an exact batch join), ``"chosenpath"``
-        (the Chosen Path forest of :class:`repro.index.ChosenPathIndex`) or
-        ``"lsh"`` (the banding structure of
-        :class:`repro.index.MinHashLSHIndex`).
+        Candidate structure: ``"exact"`` (token posting lists, recall 1 —
+        query results equal an exact batch join), ``"chosenpath"`` (the
+        Chosen Path forest of :class:`repro.index.ChosenPathIndex`) or
+        ``"lsh"`` (the buckets of :class:`repro.index.MinHashLSHIndex`).
     backend:
         Verification backend; ``"numpy"`` (or ``None``) is the only one.
         Kept as an attribute because the serving layer reports it.
@@ -288,21 +248,14 @@ class SimilarityIndex:
         Whether queries run the 1-bit sketch filter before exact
         verification.  Defaults to False in ``"exact"`` mode (the filter has
         a ``δ`` false-negative rate and would break exactness) and True for
-        the approximate modes.
+        the approximate modes.  Without it the index computes no
+        signatures or sketches at all.
     seed:
         Seed for all hashing (sketches and the approximate candidate
         structures).  Incremental growth is deterministic for a fixed seed.
-    batch_size:
-        Queries per internal batch of :meth:`query_batch` (memory bound).
-    workers:
-        Parallel workers for :meth:`query_batch` (query chunks are dealt to
-        the workers) and for the bulk signature computation of
-        :meth:`insert_all`.  Queries are pure reads, so results are
-        identical for any worker count.
-    executor:
-        How parallel work is dispatched when ``workers > 1``:
-        ``"processes"`` (default; workers receive the pickled index once per
-        pool and stream back matches plus counter deltas) or ``"serial"``.
+    embedding_size / sketch_words / sketch_false_negative_rate:
+        MinHash functions, 64-bit sketch words and target false-negative
+        rate ``δ`` of the sketch filter.
     chosen_path_depth / chosen_path_repetitions / lsh_bands / lsh_rows:
         Parameters of the approximate candidate structures.
     """
@@ -317,9 +270,6 @@ class SimilarityIndex:
         embedding_size: int = 128,
         sketch_words: int = 8,
         sketch_false_negative_rate: float = 0.05,
-        batch_size: int = 1024,
-        workers: int = 1,
-        executor: Optional[str] = None,
         chosen_path_depth: int = 3,
         chosen_path_repetitions: int = 12,
         lsh_bands: int = 32,
@@ -327,24 +277,15 @@ class SimilarityIndex:
         measure: Union[str, Measure, None] = None,
     ) -> None:
         from repro.backend import check_backend
-        from repro.core.repetition import EXECUTOR_NAMES
 
         if not 0.0 < threshold <= 1.0:
             # (0, 1] like the batch joins; λ = 1.0 is exact-duplicate lookup.
             raise ValueError("threshold must be in (0, 1]")
         if candidates not in _CANDIDATE_MODES:
             raise ValueError(f"candidates must be one of {_CANDIDATE_MODES}")
-        backend_name = check_backend(backend)
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        executor_name = "processes" if executor is None else str(executor).lower()
-        if executor_name not in EXECUTOR_NAMES:
-            raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTOR_NAMES}")
         self.threshold = threshold
         self.candidates = candidates
-        self.backend = backend_name
+        self.backend = check_backend(backend)
         self.seed = seed
         self.use_sketches = (candidates != "exact") if use_sketches is None else bool(use_sketches)
         self.measure = get_measure(measure)
@@ -359,61 +300,47 @@ class SimilarityIndex:
                 "structures and the sketch filter cannot bound it; index "
                 "with candidates='exact' and use_sketches=False"
             )
-        self.batch_size = batch_size
-        self.workers = workers
-        self.executor = executor_name
-        # Lazily created process pool for parallel query batches: kept alive
-        # across calls while (executor, workers, record count) are unchanged,
-        # so repeated batches don't re-pickle the index or re-fork workers.
-        self._query_pool = None
-        self._query_pool_key = None
         self.stats = JoinStats(algorithm="SIMINDEX", threshold=threshold)
 
-        self._records: List[Record] = []
-        self._sizes = np.zeros(16, dtype=np.int64)
-        # CSR token storage: record i occupies _values[_offsets[i]:_offsets[i+1]].
-        self._values = np.zeros(1024, dtype=np.int64)
-        self._offsets = np.zeros(17, dtype=np.int64)
-        # Weighted measures additionally keep per-record measure sizes
-        # (summed token weights) and per-token weights aligned with _values.
-        if self.measure.weighted:
-            self._measure_sizes: Optional[np.ndarray] = np.zeros(16, dtype=np.float64)
-            self._value_weights: Optional[np.ndarray] = np.zeros(1024, dtype=np.float64)
-        else:
-            self._measure_sizes = None
-            self._value_weights = None
-
-        # Sketch substrate (shared by every candidate mode when enabled).
+        # The sketch substrate, shared by every candidate mode when enabled.
         self._minhasher: Optional[MinHasher] = None
-        self._sketcher: Optional[_IncrementalSketcher] = None
-        self._sketch_words_array: Optional[np.ndarray] = None
+        self._sketch_hashers: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._sketch_cutoff = 0.0
         if self.use_sketches:
             self._minhasher = MinHasher(num_functions=embedding_size, seed=seed)
             sketch_seed = None if seed is None else seed + 0x5EED
-            self._sketcher = _IncrementalSketcher(embedding_size, sketch_words, sketch_seed)
-            self._sketch_words_array = np.zeros((16, sketch_words), dtype=np.uint64)
+            self._sketch_hashers = sample_sketch_hashers(embedding_size, sketch_words, sketch_seed)
             self._sketch_cutoff = sketch_similarity_threshold(
                 self._embedded_threshold, sketch_words * _WORD_BITS, sketch_false_negative_rate
             )
 
-        # Candidate structure.
-        self._postings = _PostingLists()
-        self._chosen_path = None
-        self._lsh = None
-        if candidates == "chosenpath":
+        self._store = RecordStore(
+            token_values=np.zeros(0, dtype=np.int64),
+            token_offsets=np.zeros(1, dtype=np.int64),
+            signature_matrix=np.zeros((0, 0), dtype=np.uint64),
+            sketch_words=np.zeros((0, sketch_words if self.use_sketches else 0), dtype=np.uint64),
+            measure_sizes=np.zeros(0) if self.measure.weighted else None,
+        )
+
+        # The candidate structure: posting lists in exact mode, else the
+        # Chosen Path forest or the LSH buckets.
+        self._postings: Optional[_PostingLists] = None
+        self._structure = None
+        if candidates == "exact":
+            self._postings = _PostingLists()
+        elif candidates == "chosenpath":
             from repro.index.chosen_path import ChosenPathIndex
 
-            self._chosen_path = ChosenPathIndex(
+            self._structure = ChosenPathIndex(
                 self._embedded_threshold,
                 depth=chosen_path_depth,
                 repetitions=chosen_path_repetitions,
                 seed=seed,
             )
-        elif candidates == "lsh":
+        else:
             from repro.index.minhash_lsh import MinHashLSHIndex
 
-            self._lsh = MinHashLSHIndex(
+            self._structure = MinHashLSHIndex(
                 self._embedded_threshold, bands=lsh_bands, rows=lsh_rows, seed=seed
             )
 
@@ -431,15 +358,16 @@ class SimilarityIndex:
         return index
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def num_records(self) -> int:
-        return len(self._records)
+        return self._store.num_records
 
     def record(self, record_id: int) -> Record:
         """The stored record with the given id."""
-        return self._records[record_id]
+        if not 0 <= record_id < len(self):
+            raise IndexError(f"record id {record_id} out of range")
+        return tuple(self._store.record_tokens(record_id).tolist())
+
+    def __iter__(self) -> Iterator[Record]:
+        return iter(self._store.record_tuples())
 
     # ------------------------------------------------------------------ inserts
     def insert(self, record: Sequence[int]) -> int:
@@ -450,159 +378,80 @@ class SimilarityIndex:
         """
         started = time.perf_counter()
         with span("index.insert"):
-            normalized = normalized_tokens(record, "index")
-            record_id = self._insert_normalized(normalized, None)
-        elapsed = time.perf_counter() - started
-        self.stats.index_build_seconds += elapsed
-        self.stats.num_records = len(self._records)
-        registry = active_metrics()
-        if registry is not None:
-            registry.histogram(
-                "repro_index_insert_seconds", "Latency of single-record index inserts."
-            ).observe(elapsed)
+            record_id = self._append([normalized_tokens(record, "index")])
+        self._count_build(
+            time.perf_counter() - started,
+            "repro_index_insert_seconds",
+            "Latency of single-record index inserts.",
+        )
         return record_id
 
     def insert_all(self, records: Sequence[Sequence[int]]) -> List[int]:
-        """Insert many records; returns their ids.
+        """Insert many records as one block; returns their ids.
 
-        When the sketch filter is enabled the whole block's sketches are
-        derived with one vectorized :func:`pack_sketch_rows` call (identical
-        bits to per-record sketching, the packing loop amortized across the
-        block).
+        The whole block is normalized and validated first, so a bad record
+        leaves the index untouched.  The block is then appended in one pass:
+        its sketches (when enabled) as one vectorized block, its postings
+        from one sort of its tokens.
         """
-        if not self.use_sketches:
-            return [self.insert(record) for record in records]
         started = time.perf_counter()
         with span("index.build", records=len(records)):
-            normalized_list: List[Record] = [
-                normalized_tokens(record, "index") for record in records
-            ]
-            ids: List[int] = []
-            if normalized_list:
-                assert self._minhasher is not None and self._sketcher is not None
-                signatures = self._signature_block(normalized_list)
-                rows = self._sketcher.sketch_rows(signatures)
-                ids = [
-                    self._insert_normalized(normalized, rows[position])
-                    for position, normalized in enumerate(normalized_list)
-                ]
-        elapsed = time.perf_counter() - started
+            block = [normalized_tokens(record, "index") for record in records]
+            first = self._append(block)
+        self._count_build(
+            time.perf_counter() - started,
+            "repro_index_build_seconds",
+            "Latency of bulk index builds (insert_all).",
+        )
+        return list(range(first, first + len(block)))
+
+    def _count_build(self, elapsed: float, metric: str, help_text: str) -> None:
         self.stats.index_build_seconds += elapsed
-        self.stats.num_records = len(self._records)
+        self.stats.num_records = len(self)
         registry = active_metrics()
         if registry is not None:
-            registry.histogram(
-                "repro_index_build_seconds", "Latency of bulk index builds (insert_all)."
-            ).observe(elapsed)
-        return ids
+            registry.histogram(metric, help_text).observe(elapsed)
 
-    _PARALLEL_BUILD_MINIMUM = 512
-    """Below this many records a parallel signature build cannot pay for itself."""
+    def _append(self, block: List[Record]) -> int:
+        """Append normalized records to the store and the candidate structure.
 
-    def _signature_block(self, normalized_list: List[Record]) -> np.ndarray:
-        """MinHash signatures of a record block, on worker processes when asked.
-
-        Each record's signature depends only on the record and the hasher's
-        seed, so sharding the block across workers is trivially deterministic.
-        The incremental candidate structures are still fed serially — only
-        the hashing (the dominant build cost) fans out.
+        Returns the first new id.  Tokens the hashers cannot take are
+        refused and the sketches derived before the first write, so a bad
+        record leaves the index untouched.
         """
-        assert self._minhasher is not None
-        if (
-            self.workers == 1
-            or self.executor == "serial"
-            or len(normalized_list) < self._PARALLEL_BUILD_MINIMUM
-        ):
-            return _signature_block_worker(self._minhasher, normalized_list)
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.core.repetition import process_pool_context
-
-        shard_count = min(self.workers, len(normalized_list))
-        bounds = np.linspace(0, len(normalized_list), shard_count + 1, dtype=int)
-        shards = [
-            normalized_list[bounds[index] : bounds[index + 1]] for index in range(shard_count)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=shard_count, mp_context=process_pool_context()
-        ) as pool:
-            futures = [
-                pool.submit(_signature_block_worker, self._minhasher, shard)
-                for shard in shards
-            ]
-            blocks = [future.result() for future in futures]
-        return np.concatenate(blocks, axis=0)
-
-    def _insert_normalized(self, normalized: Record, sketch_row: Optional[np.ndarray]) -> int:
-        """Append one normalized record to every storage structure (untimed)."""
-        record_id = len(self._records)
-        self._records.append(normalized)
-
-        self._sizes = self._append_scalar(self._sizes, record_id, len(normalized))
-        if self._measure_sizes is not None:
-            self._measure_sizes = self._append_scalar(
-                self._measure_sizes, record_id, self.measure.record_size(normalized)
-            )
-        self._append_tokens(record_id, normalized)
-
-        if self.use_sketches:
-            assert self._minhasher is not None and self._sketcher is not None
-            if sketch_row is None:
-                sketch_row = self._sketcher.sketch_row(self._minhasher.signature(normalized))
-            self._sketch_words_array = self._append_row(
-                self._sketch_words_array, record_id, sketch_row
-            )
-
-        if self.candidates == "exact":
-            postings = self._postings
-            for token in normalized:
-                postings.append(token, record_id)
-        elif self.candidates == "chosenpath":
-            self._chosen_path.insert(normalized)
+        first = len(self)
+        if not block:
+            return first
+        if self.candidates != "exact" or self.use_sketches:
+            # Every mode but exact without sketches hashes 32-bit keys.
+            low = min(tokens[0] for tokens in block)
+            high = max(tokens[-1] for tokens in block)
+            if low < 0 or high > _HASHED_TOKEN_MAX:
+                raise ValueError(
+                    f"token {low if low < 0 else high} is outside [0, 2**32), the key "
+                    "range of the index's hashing; only candidates='exact' without "
+                    "sketches takes 64-bit tokens"
+                )
+        store = self._store
+        sketches = self._sketch_rows(block) if self.use_sketches else None
+        measure_sizes = None
+        if store.measure_sizes is not None:
+            measure_sizes = [self.measure.record_size(tokens) for tokens in block]
+        start = int(store.token_offsets[-1])
+        store.append(block, sketches, measure_sizes)
+        if self._postings is not None:
+            self._postings.extend(first, store.token_values[start:], store.sizes[first:])
         else:
-            self._lsh.insert(normalized)
-        return record_id
+            for offset, tokens in enumerate(block):
+                self._structure.insert(first + offset, tokens)
+        return first
 
-    @staticmethod
-    def _append_scalar(array: np.ndarray, position: int, value: int) -> np.ndarray:
-        if position >= array.shape[0]:
-            grown = np.zeros(max(2 * array.shape[0], position + 1), dtype=array.dtype)
-            grown[: array.shape[0]] = array
-            array = grown
-        array[position] = value
-        return array
-
-    @staticmethod
-    def _append_row(array: np.ndarray, position: int, row: np.ndarray) -> np.ndarray:
-        if position >= array.shape[0]:
-            grown = np.zeros(
-                (max(2 * array.shape[0], position + 1), array.shape[1]), dtype=array.dtype
-            )
-            grown[: array.shape[0]] = array
-            array = grown
-        array[position] = row
-        return array
-
-    def _append_tokens(self, record_id: int, tokens: Record) -> None:
-        if record_id + 1 >= self._offsets.shape[0]:
-            grown = np.zeros(2 * self._offsets.shape[0], dtype=np.int64)
-            grown[: self._offsets.shape[0]] = self._offsets
-            self._offsets = grown
-        start = int(self._offsets[record_id])
-        end = start + len(tokens)
-        if end > self._values.shape[0]:
-            grown = np.zeros(max(2 * self._values.shape[0], end), dtype=np.int64)
-            grown[: self._values.shape[0]] = self._values
-            self._values = grown
-        self._values[start:end] = tokens
-        if self._value_weights is not None:
-            if end > self._value_weights.shape[0]:
-                grown_weights = np.zeros(self._values.shape[0], dtype=np.float64)
-                grown_weights[: self._value_weights.shape[0]] = self._value_weights
-                self._value_weights = grown_weights
-            token_weight = self.measure.token_weight
-            self._value_weights[start:end] = [token_weight(token) for token in tokens]
-        self._offsets[record_id + 1] = end
+    def _sketch_rows(self, block: Sequence[Record]) -> np.ndarray:
+        """Sketch words of normalized records, with ``build_sketches``' hashers and packing."""
+        assert self._minhasher is not None and self._sketch_hashers is not None
+        coordinates, multipliers = self._sketch_hashers
+        signatures = self._minhasher.signatures(block).matrix
+        return pack_sketch_rows(signatures, coordinates, multipliers, self._store.num_sketch_words)
 
     # ------------------------------------------------------------------ queries
     def query(self, record: Sequence[int], exclude: Optional[int] = None) -> List[Match]:
@@ -635,41 +484,38 @@ class SimilarityIndex:
         records: Sequence[Sequence[int]],
         exclude_ids: Optional[Sequence[Optional[int]]] = None,
     ) -> List[List[Match]]:
-        """Point-lookup many queries, processed in memory-bounded batches.
+        """Point-lookup many queries; returns one match list per query, in input order.
 
-        Queries are served ``batch_size`` at a time: each chunk's 1-bit
-        sketches are computed as one vectorized block (when the sketch
-        filter is enabled), so the chunk size bounds the materialized
-        signature/sketch temporaries and amortizes the packing loop across
-        the chunk.  ``exclude_ids`` optionally gives one index id per query
-        to omit from its result (e.g. the query's own id when querying the
-        index with its own members).  Returns one match list per query,
-        aligned with the input order.
-
-        With ``workers > 1`` the chunks are dealt to worker processes, each
-        holding one pickled copy of the index; queries are pure reads, so the
-        returned matches are identical to a serial run, and the workers'
-        counter deltas are folded back into :attr:`stats`.
+        Queries run serially, :data:`QUERY_CHUNK_SIZE` at a time: with the
+        sketch filter on, each chunk's sketches are derived as one
+        vectorized block.  ``exclude_ids`` optionally gives one index id per
+        query to omit from its result (e.g. the query's own id when querying
+        the index with its own members).
         """
         if exclude_ids is not None and len(exclude_ids) != len(records):
             raise ValueError("exclude_ids must have one entry per query record")
         started = time.perf_counter()
+        results: List[List[Match]] = []
         with span("index.query_batch", queries=len(records)):
-            chunks: List[Tuple[Sequence[Sequence[int]], List[Optional[int]]]] = []
-            for start in range(0, len(records), self.batch_size):
-                chunk = records[start : start + self.batch_size]
-                excludes = (
-                    list(exclude_ids[start : start + self.batch_size])
-                    if exclude_ids is not None
-                    else [None] * len(chunk)
-                )
-                chunks.append((chunk, excludes))
-            if self.workers == 1 or self.executor == "serial" or len(chunks) <= 1:
-                results: List[List[Match]] = []
-                for chunk, excludes in chunks:
-                    results.extend(self._query_chunk(chunk, excludes, self.stats))
-            else:
-                results = self._query_batch_parallel(chunks)
+            for start in range(0, len(records), QUERY_CHUNK_SIZE):
+                chunk = [
+                    normalized_tokens(record, "query with")
+                    for record in records[start : start + QUERY_CHUNK_SIZE]
+                ]
+                sketches = None
+                if self.use_sketches:
+                    # Filter-stage time: the sketches exist only to feed the filter.
+                    began = time.perf_counter()
+                    sketches = self._sketch_rows(chunk)
+                    self.stats.filter_seconds += time.perf_counter() - began
+                for offset, tokens in enumerate(chunk):
+                    results.append(
+                        self._query_one(
+                            tokens,
+                            None if exclude_ids is None else exclude_ids[start + offset],
+                            None if sketches is None else sketches[offset],
+                        )
+                    )
         registry = active_metrics()
         if registry is not None:
             registry.counter(
@@ -680,94 +526,6 @@ class SimilarityIndex:
             ).observe(time.perf_counter() - started)
         return results
 
-    def _query_batch_parallel(
-        self, chunks: List[Tuple[Sequence[Sequence[int]], List[Optional[int]]]]
-    ) -> List[List[Match]]:
-        """Run query chunks on the worker processes, merging counter deltas."""
-        results: List[List[Match]] = []
-        pool = self._ensure_query_pool()
-        try:
-            futures = [
-                pool.submit(_query_pool_chunk, chunk, excludes) for chunk, excludes in chunks
-            ]
-            for future in futures:
-                matches, counters = future.result()
-                results.extend(matches)
-                self._merge_query_counters(counters)
-        except BaseException:
-            # Never cache a broken pool: a crashed worker would otherwise
-            # wedge every later query_batch until a manual close().
-            self.close()
-            raise
-        return results
-
-    def _ensure_query_pool(self):
-        """The persistent process pool for parallel queries (rebuilt on change).
-
-        Workers hold a pickled snapshot of the index, so the pool is keyed by
-        ``(executor, workers, record count)``: any insert — or a change of
-        the parallelism settings — invalidates it and the next parallel
-        batch ships a fresh snapshot.  Call :meth:`close` to release the
-        workers explicitly; pickling and GC also tear the pool down.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.core.repetition import process_pool_context
-
-        key = (self.executor, self.workers, len(self._records))
-        if self._query_pool is not None and self._query_pool_key == key:
-            return self._query_pool
-        self.close()
-        import pickle
-
-        self._query_pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=process_pool_context(),
-            initializer=_query_pool_init,
-            initargs=(pickle.dumps(self),),
-        )
-        self._query_pool_key = key
-        return self._query_pool
-
-    def close(self) -> None:
-        """Shut down the parallel query pool, if any (idempotent)."""
-        pool, self._query_pool = self._query_pool, None
-        self._query_pool_key = None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _query_chunk(
-        self,
-        chunk: Sequence[Sequence[int]],
-        excludes: Sequence[Optional[int]],
-        stats: JoinStats,
-    ) -> List[List[Match]]:
-        """Serve one chunk of queries, accounting into the given stats object."""
-        normalized_chunk = [self._normalize_query(record) for record in chunk]
-        sketch_block = self._sketch_block(normalized_chunk, stats)
-        results: List[List[Match]] = []
-        for position, (normalized, exclude) in enumerate(zip(normalized_chunk, excludes)):
-            query_words = sketch_block[position] if sketch_block is not None else None
-            results.append(self._query_one(normalized, exclude, query_words, stats))
-        return results
-
-    def _merge_query_counters(self, counters: Dict[str, float]) -> None:
-        """Fold a worker's counter deltas into the index-wide statistics."""
-        stats = self.stats
-        stats.pre_candidates += int(counters.get("pre_candidates", 0))
-        stats.candidates += int(counters.get("candidates", 0))
-        stats.verified += int(counters.get("verified", 0))
-        stats.candidate_seconds += counters.get("candidate_seconds", 0.0)
-        stats.filter_seconds += counters.get("filter_seconds", 0.0)
-        stats.verify_seconds += counters.get("verify_seconds", 0.0)
-        stats.extra["queries"] = stats.extra.get("queries", 0.0) + counters.get("queries", 0.0)
-
     def self_join_pairs(self) -> Set[Pair]:
         """All similar pairs among the indexed records, via point lookups.
 
@@ -775,266 +533,130 @@ class SimilarityIndex:
         ``"exact"`` mode the returned pairs equal
         ``similarity_join(records, threshold, algorithm="allpairs")`` exactly.
         """
+        records = self._store.record_tuples()
         pairs: Set[Pair] = set()
-        matches = self.query_batch(self._records, exclude_ids=list(range(len(self._records))))
-        for query_id, found in enumerate(matches):
+        for query_id, found in enumerate(self.query_batch(records, range(len(records)))):
             for record_id, _ in found:
                 pairs.add(canonical_pair(query_id, record_id))
         return pairs
 
     # ------------------------------------------------------------------ query pipeline
-    @staticmethod
-    def _normalize_query(record: Sequence[int]) -> Record:
-        return normalized_tokens(record, "query with")
-
-    def _sketch_block(
-        self, normalized_chunk: List[Record], stats: Optional[JoinStats] = None
-    ) -> Optional[np.ndarray]:
-        """Vectorized query sketches for one chunk (None when sketches are off).
-
-        Counted as filter-stage time: the sketches exist only to feed the
-        sketch filter.
-        """
-        if not self.use_sketches or not normalized_chunk:
-            return None
-        stats = stats if stats is not None else self.stats
-        assert self._minhasher is not None and self._sketcher is not None
-        started = time.perf_counter()
-        signatures = _signature_block_worker(self._minhasher, list(normalized_chunk))
-        block = self._sketcher.sketch_rows(signatures)
-        stats.filter_seconds += time.perf_counter() - started
-        return block
-
-    def _measure_size_of(self, normalized: Record):
-        """Measure size of a query record (token count, or summed weights)."""
-        if self._measure_sizes is None:
-            return len(normalized)
-        return self.measure.record_size(normalized)
-
-    def _candidate_measure_sizes(self, candidate_ids: np.ndarray) -> np.ndarray:
-        """Stored measure sizes of the given record ids."""
-        if self._measure_sizes is not None:
-            return self._measure_sizes[candidate_ids]
-        return self._sizes[candidate_ids]
-
-    def _filter_candidates(
-        self,
-        normalized: Record,
-        query_msize,
-        candidate_ids: np.ndarray,
-        query_words: Optional[np.ndarray],
-        stats: Optional[JoinStats] = None,
-    ) -> np.ndarray:
-        """SketchFilterStage: size probe plus optional 1-bit sketch filter.
-
-        Returns a boolean keep-mask aligned with ``candidate_ids`` (so
-        callers can carry per-candidate payloads through the filter).
-        Shared by the generic and the fused ScanCount query paths, so the
-        two can never diverge; uses the measure's length-filter predicate
-        (for the default measure, exactly the join engine's
-        ``size_compatible_mask`` expression) plus the shared
-        :func:`repro.backend.kernels.sketch_estimates` kernel, and updates
-        the filter timing and candidate/verified counters.
-        """
-        stats = stats if stats is not None else self.stats
-        started = time.perf_counter()
-        passing = self.measure.size_compatible(
-            query_msize, self._candidate_measure_sizes(candidate_ids), self.threshold
-        )
-        if self.use_sketches and passing.any():
-            if query_words is None:
-                assert self._minhasher is not None and self._sketcher is not None
-                query_words = self._sketcher.sketch_row(self._minhasher.signature(normalized))
-            surviving = candidate_ids[passing]
-            estimates = sketch_estimates(
-                query_words, self._sketch_words_array[surviving], self._sketcher.num_bits
-            )
-            passing[passing] = estimates >= self._sketch_cutoff
-        stats.filter_seconds += time.perf_counter() - started
-        survivors = int(np.count_nonzero(passing))
-        stats.candidates += survivors
-        stats.verified += survivors
-        return passing
-
     def _query_one(
-        self,
-        normalized: Record,
-        exclude: Optional[int],
-        query_words: Optional[np.ndarray] = None,
-        stats: Optional[JoinStats] = None,
+        self, tokens: Record, exclude: Optional[int], query_words: Optional[np.ndarray]
     ) -> List[Match]:
-        stats = stats if stats is not None else self.stats
+        """One normalized query: candidates → filter → overlaps → accept."""
+        stats = self.stats
+        store = self._store
         stats.extra["queries"] = stats.extra.get("queries", 0.0) + 1.0
-        if self.candidates == "exact":
-            return self._query_one_scancount(normalized, exclude, query_words, stats)
 
-        # Candidate stage.
         started = time.perf_counter()
-        candidate_ids = self._candidate_ids(normalized)
-        if exclude is not None and candidate_ids.size:
-            candidate_ids = candidate_ids[candidate_ids != exclude]
-        stats.candidate_seconds += time.perf_counter() - started
-        stats.pre_candidates += int(candidate_ids.size)
-        if candidate_ids.size == 0:
-            return []
-
-        query_msize = self._measure_size_of(normalized)
-        candidate_ids = candidate_ids[
-            self._filter_candidates(normalized, query_msize, candidate_ids, query_words, stats)
-        ]
-        if candidate_ids.size == 0:
-            return []
-
-        # Verify stage.
-        started = time.perf_counter()
-        matches = self._verify_query(normalized, query_msize, candidate_ids)
-        stats.verify_seconds += time.perf_counter() - started
-        return sorted(matches, key=lambda item: (-item[1], item[0]))
-
-    def _query_one_scancount(
-        self,
-        normalized: Record,
-        exclude: Optional[int],
-        query_words: Optional[np.ndarray] = None,
-        stats: Optional[JoinStats] = None,
-    ) -> List[Match]:
-        """Fused exact query (ScanCount).
-
-        One pass over the query tokens' postings counts the exact
-        intersection size of the query with every record sharing a token
-        (``np.unique(..., return_counts=True)`` over the merged posting
-        lists — O(postings touched), no index-sized temporaries), so the
-        verify stage reduces to a vectorized comparison against the overlap
-        bound — no per-candidate token merge at all.  Candidates are the
-        records sharing at least one token, the filter is the shared
-        :meth:`_filter_candidates` stage, and every filter survivor counts
-        as verified.
-        """
-        stats = stats if stats is not None else self.stats
-
-        # Candidate stage: merged postings -> per-record overlap counts.
-        started = time.perf_counter()
-        hits = self._gather_postings(normalized)
-        weighted = self._measure_sizes is not None
-        if hits:
-            merged = np.concatenate(hits)
-            if weighted:
-                # Weighted ScanCount: every posting contributes its token's
-                # weight instead of 1.  Candidates stay "records sharing at
-                # least one token" (presence counts), even for zero-weight
-                # tokens.
-                token_weight = self.measure.token_weight
-                hit_weights = np.concatenate(
-                    [
-                        np.full(bucket.shape[0], token_weight(token), dtype=np.float64)
-                        for token, bucket in zip(self._posting_tokens(normalized), hits)
-                    ]
-                )
-                if merged.size >= len(self._records):
-                    present = np.bincount(merged, minlength=len(self._records))
-                    weighted_counts = np.bincount(
-                        merged, weights=hit_weights, minlength=len(self._records)
-                    )
-                    candidate_ids = np.flatnonzero(present)
-                    overlaps = weighted_counts[candidate_ids]
-                else:
-                    candidate_ids, inverse = np.unique(merged, return_inverse=True)
-                    overlaps = np.zeros(candidate_ids.shape[0], dtype=np.float64)
-                    np.add.at(overlaps, inverse, hit_weights)
-            elif merged.size >= len(self._records):
-                # Dense query (postings dominate the index size): an O(L + n)
-                # bincount beats sorting the merge.
-                counts = np.bincount(merged, minlength=len(self._records))
-                candidate_ids = np.flatnonzero(counts)
-                overlaps = counts[candidate_ids]
-            else:
-                # Selective query: stay O(L log L) with no index-sized
-                # temporary.
-                candidate_ids, overlaps = np.unique(merged, return_counts=True)
-        else:
-            candidate_ids = np.zeros(0, dtype=np.intp)
-            overlaps = np.zeros(0, dtype=np.float64 if weighted else np.int64)
+        candidate_ids, overlaps = self._candidates(tokens)
         if exclude is not None and candidate_ids.size:
             keep = candidate_ids != exclude
-            candidate_ids, overlaps = candidate_ids[keep], overlaps[keep]
+            candidate_ids = candidate_ids[keep]
+            if overlaps is not None:
+                overlaps = overlaps[keep]
         stats.candidate_seconds += time.perf_counter() - started
         stats.pre_candidates += int(candidate_ids.size)
         if candidate_ids.size == 0:
             return []
 
-        query_msize = self._measure_size_of(normalized)
-        mask = self._filter_candidates(normalized, query_msize, candidate_ids, query_words, stats)
-        candidate_ids, overlaps = candidate_ids[mask], overlaps[mask]
+        # The filter: the measure's size probe (for the default measure,
+        # exactly the join engine's size_compatible_mask), then the sketch
+        # cut-off through the join's sketch_estimates kernel.
+        started = time.perf_counter()
+        if store.measure_sizes is None:
+            query_size, sizes = len(tokens), store.sizes
+        else:
+            query_size, sizes = self.measure.record_size(tokens), store.measure_sizes
+        passing = self.measure.size_compatible(query_size, sizes[candidate_ids], self.threshold)
+        if query_words is not None and passing.any():
+            estimates = sketch_estimates(
+                query_words,
+                store.sketch_words[candidate_ids[passing]],
+                store.num_sketch_words * _WORD_BITS,
+            )
+            passing[passing] = estimates >= self._sketch_cutoff
+        candidate_ids = candidate_ids[passing]
+        if overlaps is not None:
+            overlaps = overlaps[passing]
+        stats.filter_seconds += time.perf_counter() - started
+        stats.candidates += int(candidate_ids.size)
+        stats.verified += int(candidate_ids.size)
         if candidate_ids.size == 0:
             return []
 
-        # Verify stage: the overlaps are already exact.
         started = time.perf_counter()
-        matches = self._accept_matches(query_msize, candidate_ids, overlaps)
-        stats.verify_seconds += time.perf_counter() - started
-        return sorted(matches, key=lambda item: (-item[1], item[0]))
-
-    def _gather_postings(self, normalized: Record) -> List[np.ndarray]:
-        """Posting-list views of every query token present in the index."""
-        postings = self._postings
-        return [
-            bucket
-            for bucket in (postings.get(token) for token in normalized)
-            if bucket is not None
-        ]
-
-    def _posting_tokens(self, normalized: Record) -> List[int]:
-        """The query tokens present in the index, aligned with :meth:`_gather_postings`."""
-        postings = self._postings
-        return [token for token in normalized if token in postings]
-
-    def _accept_matches(
-        self, query_msize, candidate_ids: np.ndarray, overlaps: np.ndarray
-    ) -> List[Match]:
-        """Accept candidates from exact intersection sizes (shared verify tail).
-
-        Applies the measure's required-overlap bound and converts surviving
-        overlaps to exact similarities; used by both verify paths (ScanCount
-        and the CSR intersection) so acceptance and tie-breaking can never
-        diverge.
-        """
-        candidate_msizes = self._candidate_measure_sizes(candidate_ids)
-        required = self.measure.required_overlaps(query_msize, candidate_msizes, self.threshold)
-        accepted = overlaps >= required
-        similarities = self.measure.similarities_from_overlaps(
-            query_msize, candidate_msizes[accepted], overlaps[accepted]
+        if overlaps is None:
+            query_tokens = np.asarray(tokens, dtype=np.int64)
+            if store.measure_sizes is not None:
+                overlaps = csr_weighted_overlaps_one_to_many(
+                    query_tokens,
+                    self.measure.value_weights(query_tokens),
+                    store.token_values,
+                    store.token_offsets,
+                    store.sizes,
+                    candidate_ids,
+                )
+            else:
+                overlaps = csr_overlaps_one_to_many(
+                    query_tokens, store.token_values, store.token_offsets, store.sizes, candidate_ids
+                )
+        candidate_sizes = sizes[candidate_ids]
+        accepted = overlaps >= self.measure.required_overlaps(
+            query_size, candidate_sizes, self.threshold
         )
-        return [
+        similarities = self.measure.similarities_from_overlaps(
+            query_size, candidate_sizes[accepted], overlaps[accepted]
+        )
+        matches = [
             (int(record_id), float(similarity))
             for record_id, similarity in zip(candidate_ids[accepted], similarities)
         ]
+        stats.verify_seconds += time.perf_counter() - started
+        return sorted(matches, key=lambda item: (-item[1], item[0]))
 
-    def _candidate_ids(self, normalized: Record) -> np.ndarray:
-        """Candidate ids of an approximate-mode query (sorted)."""
-        if self.candidates == "chosenpath":
-            found = self._chosen_path.candidates(normalized)
-        else:
-            found = self._lsh.candidates(normalized)
-        return np.asarray(sorted(found), dtype=np.intp)
+    def _candidates(self, tokens: Record) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Sorted candidate ids; in exact mode with their exact overlaps (else None).
 
-    def _verify_query(
-        self, normalized: Record, query_msize, candidate_ids: np.ndarray
-    ) -> List[Match]:
-        query_tokens = np.asarray(normalized, dtype=np.int64)
-        if self._value_weights is not None:
-            overlaps = csr_weighted_overlaps_one_to_many(
-                query_tokens,
-                self._values,
-                self._value_weights,
-                self._offsets,
-                self._sizes,
-                candidate_ids,
+        Exact mode is ScanCount: one pass over the query tokens' postings
+        counts the intersection of the query with every record sharing a
+        token, so no candidate needs a token merge later.
+        """
+        if self._postings is None:
+            return np.array(sorted(self._structure.candidates(tokens)), dtype=np.intp), None
+        hits = [(token, self._postings.get(token)) for token in tokens]
+        hits = [(token, bucket) for token, bucket in hits if bucket is not None]
+        if not hits:
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty
+        num_records = len(self)
+        merged = np.concatenate([bucket for _, bucket in hits])
+        if self._store.measure_sizes is not None:
+            # Weighted ScanCount: every posting contributes its token's
+            # weight instead of 1.  Candidates stay "records sharing at
+            # least one token" (presence counts), even for zero-weight
+            # tokens.
+            token_weight = self.measure.token_weight
+            hit_weights = np.concatenate(
+                [np.full(bucket.shape[0], token_weight(token), dtype=np.float64) for token, bucket in hits]
             )
-        else:
-            overlaps = csr_overlaps_one_to_many(
-                query_tokens, self._values, self._offsets, self._sizes, candidate_ids
-            )
-        return self._accept_matches(query_msize, candidate_ids, overlaps)
+            if merged.size >= num_records:
+                candidate_ids = np.flatnonzero(np.bincount(merged, minlength=num_records))
+                weighted_counts = np.bincount(merged, weights=hit_weights, minlength=num_records)
+                return candidate_ids, weighted_counts[candidate_ids]
+            candidate_ids, inverse = np.unique(merged, return_inverse=True)
+            overlaps = np.zeros(candidate_ids.shape[0], dtype=np.float64)
+            np.add.at(overlaps, inverse, hit_weights)
+            return candidate_ids, overlaps
+        if merged.size >= num_records:
+            # Dense query (postings dominate the index size): an O(L + n)
+            # bincount beats sorting the merge.
+            counts = np.bincount(merged, minlength=num_records)
+            candidate_ids = np.flatnonzero(counts)
+            return candidate_ids, counts[candidate_ids]
+        # Selective query: stay O(L log L) with no index-sized temporary.
+        return np.unique(merged, return_counts=True)
 
     # ------------------------------------------------------------------ persistence
     def save(self, path: Union[str, Path]) -> Path:
@@ -1112,19 +734,8 @@ class SimilarityIndex:
         return index
 
     # ------------------------------------------------------------------ introspection
-    def __getstate__(self) -> dict:
-        # The live worker pool never travels with a pickle (worker copies
-        # rebuild their own serial view; the parent re-creates pools lazily).
-        state = dict(self.__dict__)
-        state["_query_pool"] = None
-        state["_query_pool_key"] = None
-        return state
-
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimilarityIndex(threshold={self.threshold}, candidates={self.candidates!r}, "
-            f"backend={self.backend!r}, records={len(self._records)})"
+            f"backend={self.backend!r}, records={len(self)})"
         )

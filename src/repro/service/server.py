@@ -338,17 +338,14 @@ class SimilarityServer:
         if self._store is not None:
             self._store.close()
             self._store = None
-        if self._index is not None:
-            self._index.close()
-            self._index = None
+        self._index = None
 
     async def stop(self) -> None:
         """Drain in-flight work, write a final snapshot, release everything.
 
         Idempotent: a second ``stop()`` — or one on a server that never
         started — is a no-op.  Every resource reference is cleared once
-        released, so a repeated call can never snapshot on a closed store
-        or close a closed index.
+        released, so a repeated call can never snapshot on a closed store.
         """
         if self._server is not None:
             self._server.close()
@@ -390,9 +387,7 @@ class SimilarityServer:
         if self._engine is not None:
             self._engine.shutdown(wait=True)
             self._engine = None
-        if self._index is not None:
-            self._index.close()
-            self._index = None
+        self._index = None
 
     async def serve_until(self, stop_event: asyncio.Event) -> None:
         """Convenience loop: :meth:`start`, wait for the event, :meth:`stop`."""

@@ -10,7 +10,15 @@ numpy arrays.  :class:`RecordStore` owns exactly those arrays:
 * ``sketch_words`` — the packed ``(n, ℓ)`` 1-bit minwise sketches;
 * ``sizes`` — per-record set sizes (redundant with the offsets, stored so
   filters never re-derive them);
-* ``sides`` — optional R ⋈ S side labels.
+* ``sides`` — optional R ⋈ S side labels;
+* ``measure_sizes`` — optional per-record measure sizes of a weighted
+  measure (only the index keeps them).
+
+A store also grows: :meth:`RecordStore.append` adds records at the end with
+amortized doubling behind the same array attributes, which always have
+exactly one row per record.  This is how
+:class:`repro.index.SimilarityIndex` keeps its one copy of every record; the
+joins build their stores once and never grow them.
 
 Because the store is nothing but contiguous buffers, it can be placed in a
 :mod:`multiprocessing.shared_memory` segment and *attached* by worker
@@ -26,6 +34,9 @@ array views), so closing and unlinking the segment never has to fight
 exported numpy buffers.  Workers call :meth:`RecordStore.close` when done;
 all lifecycle methods are idempotent and double-close safe.
 
+An attached store is read-only: its arrays view the shared buffer, and
+:meth:`RecordStore.append` refuses it.
+
 Segment cleanup is explicit: the lease unlinks the segment on ``close()``.
 Attached stores deliberately *unregister* the segment from the
 ``resource_tracker`` (``track=False`` on Python ≥ 3.13), because the tracker
@@ -37,6 +48,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +62,7 @@ __all__ = [
     "RecordStore",
     "SharedStoreLease",
     "StoreHandle",
+    "grow",
     "normalize_records",
     "validate_sides",
 ]
@@ -59,6 +72,21 @@ _ALIGNMENT = 64
 
 _SHM_TRACK_KWARG = sys.version_info >= (3, 13)
 """Whether ``SharedMemory`` natively supports ``track=False`` (Python 3.13+)."""
+
+
+def grow(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """``buffer``, or a copy of its first ``used`` rows with room for ``extra`` more.
+
+    The one growth rule of the package's append-only arrays (store columns,
+    index posting lists): a full buffer is replaced by one of at least
+    double the capacity, so appending costs amortized O(1) per row.
+    """
+    needed = used + extra
+    if needed <= buffer.shape[0]:
+        return buffer
+    grown = np.empty((max(2 * buffer.shape[0], needed),) + buffer.shape[1:], dtype=buffer.dtype)
+    grown[:used] = buffer[:used]
+    return grown
 
 
 def normalize_records(records: Sequence[Sequence[int]]) -> List[Record]:
@@ -184,10 +212,11 @@ class SharedStoreLease:
 class RecordStore:
     """Every preprocessing artefact of a collection as flat numpy arrays.
 
-    Built once per dataset (:meth:`build`) or attached zero-copy to a shared
-    segment created by another process (:meth:`attach`).  The join engines
-    read the arrays directly; :class:`repro.core.preprocess.PreprocessedCollection`
-    is a thin compatibility view over a store.
+    Built once per dataset (:meth:`build`), attached zero-copy to a shared
+    segment created by another process (:meth:`attach`), or grown record by
+    record (:meth:`append`).  The join engines read the arrays directly;
+    :class:`repro.core.preprocess.PreprocessedCollection` is a thin
+    compatibility view over a store.
     """
 
     _ARRAY_FIELDS = (
@@ -197,6 +226,7 @@ class RecordStore:
         "sketch_words",
         "sizes",
         "sides",
+        "measure_sizes",
     )
 
     def __init__(
@@ -208,6 +238,7 @@ class RecordStore:
         sizes: Optional[np.ndarray] = None,
         sides: Optional[np.ndarray] = None,
         preprocessing_seconds: float = 0.0,
+        measure_sizes: Optional[np.ndarray] = None,
         _segment: object = None,
     ) -> None:
         self.token_values = np.asarray(token_values, dtype=np.int64)
@@ -218,9 +249,12 @@ class RecordStore:
             sizes = np.diff(self.token_offsets)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.sides = None if sides is None else np.asarray(sides, dtype=np.int8)
+        self.measure_sizes = None if measure_sizes is None else np.asarray(measure_sizes, dtype=np.float64)
         self.preprocessing_seconds = float(preprocessing_seconds)
         self._segment = _segment
         self._closed = False
+        # Capacity buffers behind the grown columns (see append); never pickled.
+        self._capacity: dict = {}
 
         n = self.num_records
         if self.token_offsets.shape != (n + 1,):
@@ -229,6 +263,8 @@ class RecordStore:
             raise ValueError("all per-record arrays must have one row per record")
         if self.sides is not None and self.sides.shape != (n,):
             raise ValueError("sides must have one entry per record")
+        if self.measure_sizes is not None and self.measure_sizes.shape != (n,):
+            raise ValueError("measure_sizes must have one entry per record")
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -323,6 +359,64 @@ class RecordStore:
             for index in range(self.num_records)
         ]
 
+    # ------------------------------------------------------------------ growth
+    def append(
+        self,
+        records: Sequence[Record],
+        sketch_words: Optional[np.ndarray] = None,
+        measure_sizes: Optional[Sequence[float]] = None,
+    ) -> None:
+        """Append normalized records; they get ids ``num_records`` onward.
+
+        Every column grows by amortized doubling behind its attribute, which
+        stays an exact-length array: views taken before the append keep
+        their contents.  The caller supplies the rows of the derived
+        columns the store keeps (sketch words when it has any, measure sizes
+        when present); the signature column must be empty, as in every
+        store that grows.  Attached shared-memory stores and R ⋈ S stores
+        are read-only.
+        """
+        if self._segment is not None or self.sides is not None:
+            raise ValueError("shared-memory and R ⋈ S stores are read-only")
+        if self.embedding_size:
+            raise ValueError("a store with MinHash signatures cannot grow")
+        kept = (self.sketch_words.shape[1] > 0, self.measure_sizes is not None)
+        if kept != (sketch_words is not None, measure_sizes is not None):
+            raise ValueError("append needs rows for exactly the derived columns this store keeps")
+        count = len(records)
+        lengths = [len(record) for record in records]
+        offsets = np.fromiter(
+            accumulate(lengths, initial=int(self.token_offsets[-1])), dtype=np.int64, count=count + 1
+        )
+        total = int(offsets[-1] - offsets[0])
+        grown = [
+            ("token_values", np.fromiter(chain.from_iterable(records), dtype=np.int64, count=total)),
+            ("token_offsets", offsets[1:]),
+            ("sizes", lengths),
+            ("sketch_words", sketch_words),
+            ("measure_sizes", measure_sizes),
+        ]
+        for name, rows in grown:
+            if rows is None:
+                continue
+            current = getattr(self, name)
+            used = current.shape[0]
+            buffer = grow(self._capacity.get(name, current), used, len(rows))
+            buffer[used : used + len(rows)] = rows
+            self._capacity[name] = buffer
+            setattr(self, name, buffer[: used + len(rows)])
+        # Zero-width columns (signatures always, sketches when off) hold no data to grow.
+        empty = np.empty((self.num_records, 0), dtype=np.uint64)
+        self.signature_matrix = empty
+        if sketch_words is None:
+            self.sketch_words = empty
+
+    def __getstate__(self) -> dict:
+        # Pickles carry the exact-length columns only, never the capacity slack.
+        state = dict(self.__dict__)
+        state["_capacity"] = {}
+        return state
+
     # ------------------------------------------------------------------ shared memory
     def _layout(self) -> Tuple[Tuple[Tuple[str, str, Tuple[int, ...], int], ...], int]:
         """Aligned (field, dtype, shape, byte offset) layout plus total size."""
@@ -392,6 +486,7 @@ class RecordStore:
             sizes=arrays.get("sizes"),
             sides=arrays.get("sides"),
             preprocessing_seconds=handle.preprocessing_seconds,
+            measure_sizes=arrays.get("measure_sizes"),
             _segment=segment,
         )
         return store

@@ -19,7 +19,6 @@ from repro.core.repetition import (
     shard_round_robin,
 )
 from repro.exact.naive import naive_join
-from repro.index import SimilarityIndex
 from repro.join import similarity_join, similarity_join_rs
 
 EXECUTORS = ("serial", "processes")
@@ -140,54 +139,6 @@ class TestRSJoinExecutors:
         assert procs.stats.pre_candidates == serial.stats.pre_candidates
 
 
-class TestIndexExecutors:
-    @pytest.mark.parametrize("candidates", ["exact", "lsh"])
-    def test_query_batch_parallel_identical(self, uniform_dataset, candidates) -> None:
-        records = uniform_dataset.records[:300]
-        serial = SimilarityIndex.build(
-            records, 0.5, candidates=candidates, backend="numpy", seed=6, batch_size=32
-        )
-        parallel = SimilarityIndex.build(
-            records,
-            0.5,
-            candidates=candidates,
-            backend="numpy",
-            seed=6,
-            batch_size=32,
-            workers=4,
-            executor="processes",
-        )
-        queries = records[:150]
-        expected = serial.query_batch(queries)
-        got = parallel.query_batch(queries)
-        assert got == expected
-        assert parallel.stats.pre_candidates == serial.stats.pre_candidates
-        assert parallel.stats.candidates == serial.stats.candidates
-        assert parallel.stats.verified == serial.stats.verified
-        assert parallel.stats.extra["queries"] == serial.stats.extra["queries"]
-
-
-class TestIndexQueryPoolLifecycle:
-    def test_pool_reused_across_batches_and_invalidated_by_insert(self, uniform_dataset) -> None:
-        records = uniform_dataset.records[:200]
-        index = SimilarityIndex.build(
-            records, 0.5, backend="numpy", batch_size=32, workers=2, executor="processes"
-        )
-        queries = records[:80]
-        first = index.query_batch(queries)
-        pool = index._query_pool
-        assert pool is not None
-        second = index.query_batch(queries)
-        assert index._query_pool is pool  # reused: no re-pickle, no re-fork
-        assert first == second
-        index.insert([901, 902, 903])
-        index.query_batch(queries[:40])
-        assert index._query_pool is not pool  # insert invalidated the snapshot
-        index.close()
-        index.close()  # double close safe
-        assert index._query_pool is None
-
-
 class TestValidation:
     def test_unknown_executor_rejected_by_config(self) -> None:
         with pytest.raises(ValueError, match="executor"):
@@ -208,9 +159,8 @@ class TestValidation:
             lambda: CPSJoinConfig(executor="threads"),
             lambda: similarity_join([(1, 2)], 0.5, algorithm="minhash", executor="threads"),
             lambda: similarity_join([(1, 2)], 0.5, algorithm="bayeslsh", executor="threads"),
-            lambda: SimilarityIndex(0.5, executor="threads"),
         ],
-        ids=["config", "minhash", "bayeslsh", "index"],
+        ids=["config", "minhash", "bayeslsh"],
     )
     def test_threads_executor_rejected(self, make) -> None:
         with pytest.raises(ValueError, match="executor"):
@@ -221,7 +171,6 @@ class TestValidation:
         collection = preprocess_collection(uniform_dataset.records[:20], seed=1)
         assert CPSJoinConfig().executor == "processes"
         assert RepetitionEngine(engine, collection).executor == "processes"
-        assert SimilarityIndex(0.5).executor == "processes"
 
     def test_shard_round_robin_covers_all_ids(self) -> None:
         shards = shard_round_robin(7, 3, start=10)

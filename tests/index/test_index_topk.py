@@ -69,7 +69,7 @@ class TestQueryTopk:
 
 class TestMeasurePersistence:
     def test_format_version_bumped(self) -> None:
-        assert SAVE_FORMAT_VERSION == 3
+        assert SAVE_FORMAT_VERSION == 4
 
     def test_measure_survives_save_load(self, tmp_path) -> None:
         records = make_records(seed=31)

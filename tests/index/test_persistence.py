@@ -72,7 +72,7 @@ class TestOlderFormatsRefused:
         with pytest.raises(IndexPersistenceError, match="repro-join index build"):
             SimilarityIndex.load(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_refused_naming_version_and_rebuild(self, tmp_path, version) -> None:
         path = tmp_path / "old.idx"
         write_versioned(path, version, make_index())

@@ -7,9 +7,20 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.preprocess import preprocess_collection
 from repro.index import SimilarityIndex
+from repro.index import similarity_index as similarity_index_module
 from repro.join import similarity_join
+from repro.obs import (
+    MetricsRegistry,
+    disable_metrics,
+    disable_tracing,
+    enable_metrics,
+    enable_tracing,
+)
 from repro.result import canonical_pair
+
+MODES = ("exact", "chosenpath", "lsh")
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +59,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="only backend is 'numpy'"):
             SimilarityIndex(0.5, backend=backend)
 
-    def test_invalid_batch_size(self) -> None:
-        with pytest.raises(ValueError):
-            SimilarityIndex(0.5, batch_size=0)
+    @pytest.mark.parametrize("option", ["workers", "executor", "batch_size"])
+    def test_parallel_query_options_are_gone(self, option) -> None:
+        # Queries run serially in fixed chunks; there is no pool to configure.
+        with pytest.raises(TypeError, match=option):
+            SimilarityIndex(0.5, **{option: 2})
 
     def test_empty_record_rejected(self) -> None:
         index = SimilarityIndex(0.5)
@@ -111,10 +124,12 @@ class TestBasicSemantics:
         with pytest.raises(ValueError):
             index.query_batch(tiny_records, exclude_ids=[0])
 
-    def test_batch_size_batches_do_not_change_results(self, random_records) -> None:
-        big = SimilarityIndex.build(random_records, 0.5, batch_size=4096)
-        small = SimilarityIndex.build(random_records, 0.5, batch_size=7)
-        assert big.query_batch(random_records[:40]) == small.query_batch(random_records[:40])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_query_chunks_do_not_change_results(self, random_records, mode, monkeypatch) -> None:
+        index = SimilarityIndex.build(random_records, 0.5, candidates=mode, seed=5)
+        expected = index.query_batch(random_records[:40])
+        monkeypatch.setattr(similarity_index_module, "QUERY_CHUNK_SIZE", 7)
+        assert index.query_batch(random_records[:40]) == expected
 
     def test_stats_accumulate(self, tiny_records) -> None:
         index = SimilarityIndex.build(tiny_records, 0.5)
@@ -149,39 +164,22 @@ class TestExactEquivalence:
         assert incremental.self_join_pairs() == bulk.self_join_pairs()
         assert incremental.query_batch(random_records[:30]) == bulk.query_batch(random_records[:30])
 
-    def test_interleaved_inserts_match_fresh_build_under_processes(
-        self, random_records
-    ) -> None:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interleaved_inserts_match_fresh_build(self, random_records, mode) -> None:
         # The serving contract: querying, then inserting N records, then
         # querying again must answer exactly like a fresh build over the
-        # grown collection — including on the process executor, whose cached
-        # pool holds a pickled snapshot of the index and must be invalidated
-        # by every insert.
-        executor = "processes"
+        # grown collection, with the same candidate work per query.
         base, extra = random_records[:200], random_records[200:]
-        queries = random_records[:60]
-        grown = SimilarityIndex.build(
-            base, 0.5, backend="numpy", seed=9, workers=2, executor=executor, batch_size=32
-        )
-        try:
-            grown.query_batch(queries)  # populate (and for processes, cache) the pool
-            for record in extra:
-                grown.insert(record)
-            fresh = SimilarityIndex.build(
-                list(base) + list(extra),
-                0.5,
-                backend="numpy",
-                seed=9,
-                workers=2,
-                executor=executor,
-                batch_size=32,
-            )
-            try:
-                assert grown.query_batch(queries) == fresh.query_batch(queries)
-            finally:
-                fresh.close()
-        finally:
-            grown.close()
+        queries = random_records[:60] + extra
+        grown = SimilarityIndex.build(base, 0.5, candidates=mode, seed=9)
+        for position, record in enumerate(extra):
+            grown.query(extra[-1 - position])  # for the first half, a record inserted later
+            grown.insert(record)
+        fresh = SimilarityIndex.build(list(base) + list(extra), 0.5, candidates=mode, seed=9)
+        for query in queries:
+            before = (grown.stats.pre_candidates, fresh.stats.pre_candidates)
+            assert grown.query(query) == fresh.query(query)
+            assert grown.stats.pre_candidates - before[0] == fresh.stats.pre_candidates - before[1]
 
     def test_queries_against_grown_index(self, random_records) -> None:
         split = 150
@@ -214,27 +212,90 @@ class TestApproximateModes:
 
 
 class TestSketchParity:
-    def test_incremental_sketches_match_bulk_build(self, random_records) -> None:
-        """The index's per-record sketches are bit-identical to build_sketches."""
-        from repro.hashing.minhash import MinHasher
-        from repro.hashing.sketch import build_sketches
-        from repro.index.similarity_index import _IncrementalSketcher
+    @pytest.mark.parametrize("options", [{"candidates": "lsh"}, {"use_sketches": True}])
+    def test_stored_sketches_are_the_joins_sketches(self, random_records, options) -> None:
+        """Bulk-built or grown one record at a time, the index stores the join's sketch words."""
+        seed = 31
+        records = random_records[:60]
+        expected = preprocess_collection(
+            records, embedding_size=128, sketch_words=8, seed=seed
+        ).sketches.words
+        bulk = SimilarityIndex.build(records, 0.5, seed=seed, **options)
+        grown = SimilarityIndex(0.5, seed=seed, **options)
+        for record in records:
+            grown.insert(record)
+        for index in (bulk, grown):
+            assert index._store.sketch_words.dtype == np.uint64
+            assert np.array_equal(index._store.sketch_words, expected)
 
-        records = random_records[:40]
-        minhasher = MinHasher(num_functions=64, seed=123)
-        signatures = minhasher.signatures(records)
-        bulk = build_sketches(signatures.matrix, num_words=4, seed=456)
-        sketcher = _IncrementalSketcher(64, 4, 456)
-        import numpy as np
+    def test_exact_index_keeps_no_signatures_or_sketches(self, random_records) -> None:
+        index = SimilarityIndex.build(random_records, 0.5)
+        assert index._store.signature_matrix.size == 0
+        assert index._store.sketch_words.size == 0
+        assert index._store.num_records == len(random_records)
 
-        assert np.array_equal(sketcher.sketch_rows(signatures.matrix), bulk.words)
-        for row_index in (0, 17, 39):
-            assert np.array_equal(
-                sketcher.sketch_row(signatures.matrix[row_index]), bulk.words[row_index]
-            )
+
+class TestBlockInserts:
+    @pytest.mark.parametrize(
+        "mode, use_sketches, bad, message",
+        [pytest.param(mode, None, (), "empty record", id=mode) for mode in MODES]
+        + [
+            # Tokens a hasher cannot take (MinHash: 32-bit keys; the Chosen
+            # Path trees: no negatives) are refused before anything is written.
+            pytest.param("chosenpath", False, (-1, 5), r"2\*\*32", id="chosenpath-negative"),
+            pytest.param("lsh", False, (5, 2**40), r"2\*\*32", id="lsh-64bit"),
+            pytest.param("exact", True, (5, 2**40), r"2\*\*32", id="exact-sketches-64bit"),
+        ],
+    )
+    def test_insert_all_is_atomic(self, mode, use_sketches, bad, message) -> None:
+        index = SimilarityIndex(0.5, candidates=mode, use_sketches=use_sketches, seed=1)
+        index.insert((7, 8, 9))
+        with pytest.raises(ValueError, match=message):
+            index.insert_all([(1, 2, 3), (4, 5, 6), bad])
+        with pytest.raises(ValueError, match=message):
+            index.insert(bad)
+        assert len(index) == 1
+        assert index._store.token_values.tolist() == [7, 8, 9]
+        assert index.insert((1, 2, 3)) == 1
+        assert index.query((1, 2, 3)) == [(1, 1.0)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_build_reports_one_build_not_many_inserts(self, random_records, mode) -> None:
+        spans = []
+        registry = MetricsRegistry()
+        enable_tracing(spans.append)
+        enable_metrics(registry)
+        try:
+            index = SimilarityIndex.build(random_records[:100], 0.5, candidates=mode, seed=2)
+            index.insert(random_records[100])
+        finally:
+            disable_metrics()
+            disable_tracing()
+        names = [record["name"] for record in spans]
+        assert names.count("index.build") == 1
+        assert names.count("index.insert") == 1
+        snapshot = registry.snapshot()
+        assert snapshot["repro_index_build_seconds"]["series"][0]["count"] == 1
+        assert snapshot["repro_index_insert_seconds"]["series"][0]["count"] == 1
 
 
 class TestPersistence:
+    def test_pickle_carries_exact_length_arrays(self, random_records) -> None:
+        index = SimilarityIndex.build(random_records[:100], 0.5, use_sketches=True, seed=4)
+        for record in random_records[100:]:
+            index.insert(record)
+        store = index._store
+        assert any(
+            buffer.shape[0] > getattr(store, name).shape[0]
+            for name, buffer in store._capacity.items()
+        )
+        restored = pickle.loads(pickle.dumps(index))
+        assert restored._store._capacity == {}
+        assert restored._store.token_values.shape == (store.token_offsets[-1],)
+        assert restored._store.sketch_words.shape == (len(random_records), 8)
+        assert all(buffer.shape[0] == used for buffer, used in restored._postings._lists.values())
+        assert restored.query_batch(random_records) == index.query_batch(random_records)
+
     def test_pickle_roundtrip(self, random_records) -> None:
         index = SimilarityIndex.build(random_records, 0.5, backend="numpy", seed=4)
         restored = pickle.loads(pickle.dumps(index))

@@ -109,34 +109,6 @@ class TestInserts:
         fresh = make_index(list(BASE_RECORDS) + extra)
         assert served == fresh.query_batch(queries)
 
-    def test_insert_visible_after_pool_cached_queries_processes_executor(self) -> None:
-        # The server path of the pool-invalidation satellite: a processes-
-        # executor index caches its worker pool per record count; an insert
-        # through the server must invalidate it so later queries see the new
-        # record (stale workers would answer from their pickled copy).
-        records = [tuple(range(start, start + 6)) for start in range(0, 120, 3)]
-        server = SimilarityServer(
-            index_factory=lambda: make_index(
-                records, workers=2, executor="processes", batch_size=8
-            ),
-        )
-        handle = serve_in_thread(server)
-        try:
-            with ServiceClient.connect(*handle.address) as client:
-                client.query_batch(records[:20])  # builds (and caches) the worker pool
-                record_id = client.insert([0, 1, 2, 3, 4, 500])
-                after = client.query_batch([[0, 1, 2, 3, 4, 500]])
-                assert [m for m, _ in after[0][:1]] == [record_id]
-                # Every post-insert answer equals a fresh offline build over
-                # the grown collection — a stale cached pool could not.
-                fresh = make_index(
-                    records + [(0, 1, 2, 3, 4, 500)], workers=2, executor="processes", batch_size=8
-                )
-                assert client.query_batch(records[:20]) == fresh.query_batch(records[:20])
-                fresh.close()
-        finally:
-            handle.stop()
-
 
 class TestErrorHandling:
     def test_unknown_operation_answered_not_dropped(self, running_server) -> None:

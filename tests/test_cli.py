@@ -70,7 +70,6 @@ class TestParser:
             ["join", "data.txt", "--backend", "python"],
             ["join", "data.txt", "--executor", "threads"],
             ["index", "build", "data.txt", "--out", "x.idx", "--backend", "python"],
-            ["serve", "--executor", "threads"],
             ["experiment", "backend-bench"],
         ],
     )
@@ -90,7 +89,6 @@ class TestBadValuesExitTwo:
             ["join", "{data}", "--repetitions", "0"],
             ["join", "{data}", "--measure", "overlap"],
             ["index", "build", "{data}", "--threshold", "0", "--out", "{tmp}/x.idx"],
-            ["serve", "{data}", "--workers", "0"],
             ["join", "{tmp}/missing.txt"],
             ["serve", "{tmp}/missing.txt"],
             ["index", "query", "{tmp}/missing.idx", "{data}"],
@@ -104,7 +102,6 @@ class TestBadValuesExitTwo:
             "repetitions",
             "measure",
             "index-threshold",
-            "serve-workers",
             "join-missing",
             "serve-missing",
             "index-query-missing",
@@ -119,6 +116,28 @@ class TestBadValuesExitTwo:
         assert completed.returncode == 2, completed.stderr
         assert "Traceback" not in completed.stderr
         assert "repro-join: error: " in completed.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "build", "{data}", "--out", "{tmp}/x.idx"],
+            ["index", "query", "{tmp}/x.idx", "{data}"],
+            ["index", "query-topk", "{tmp}/x.idx", "{data}", "--k", "1"],
+            ["serve", "{data}"],
+        ],
+        ids=["index-build", "index-query", "index-query-topk", "serve"],
+    )
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--executor", "serial"]])
+    def test_index_and_serve_have_no_parallel_flags(
+        self, dataset_file, tmp_path, capsys, argv, flag
+    ) -> None:
+        # The index runs queries serially: neither flag exists, so each is a usage error.
+        argv = [arg.format(data=dataset_file, tmp=tmp_path) for arg in argv] + flag
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"repro-join: error: unrecognized arguments: {' '.join(flag)}"]
 
     def test_serve_port_in_use(self, dataset_file) -> None:
         import socket
@@ -268,8 +287,9 @@ class TestIndexCommand:
     def test_query_bad_values_are_usage_errors(self, dataset_file, tmp_path, command) -> None:
         index_path = tmp_path / "data.idx"
         main(["index", "build", str(dataset_file), "--out", str(index_path)])
-        bad = ["--workers", "0"] if command == "query" else ["--k", "0"]
-        argv = ["index", command, str(index_path), str(dataset_file)] + bad
+        queries = str(tmp_path / "missing.txt") if command == "query" else str(dataset_file)
+        bad = [] if command == "query" else ["--k", "0"]
+        argv = ["index", command, str(index_path), queries] + bad
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -321,10 +341,6 @@ class TestServeCommand:
         assert args.max_batch == 64
         assert args.snapshot_every == 512
         assert not args.no_wal_sync
-
-    def test_serve_executor_choice_restricted(self) -> None:
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--executor", "magic"])
 
     def test_serve_kill_restart_matches_offline_index_query(self, dataset_file, tmp_path) -> None:
         # The acceptance property end-to-end over real processes: serve,
