@@ -4,70 +4,77 @@ Every join in the repository funnels its candidate pairs through the same
 three-stage check (size-compatibility probe, 1-bit minwise sketch filter,
 exact verification on the token sets) and estimates average similarities for
 the adaptive BRUTEFORCE rule.  :class:`ExecutionBackend` bundles those
-kernels so the policy layers (:class:`~repro.core.bruteforce.BruteForcer`,
-the staged :class:`~repro.engine.JoinEngine`, the LSH baselines) stay
-agnostic of how the arithmetic is executed.  The hot loops run over whole
-candidate blocks:
+kernels so the policy layers (the adaptive rule's
+:class:`~repro.core.bruteforce.BruteForcer`, the staged
+:class:`~repro.engine.JoinEngine`, the LSH baselines) stay agnostic of how
+the arithmetic is executed.  The kernels are segmented: one call covers a
+whole flush of tasks, never one task or one record.
 
-* Token sets are read as CSR-packed arrays straight out of the collection's
-  :class:`repro.store.RecordStore` — zero-copy even when the store lives in a
-  shared-memory segment attached by a worker process.  The intersection of
-  one record with a block of candidates is a single ``searchsorted`` over the
-  concatenated candidate tokens followed by a segmented sum
-  (:func:`repro.backend.kernels.csr_overlaps_one_to_many`, shared with the
-  :class:`repro.index.SimilarityIndex` query kernels).
-* The BRUTEFORCEPAIRS filter stage materializes the upper triangle of a
-  subproblem and applies the size probe and the 1-bit sketch Hamming filter
-  (``np.bitwise_xor`` + popcount) to all pairs at once; surviving pairs are
-  verified by the grouped block verifier.
+* **Rows.**  The engine describes a flush as rows over one id buffer: row
+  ``r`` pairs ``anchors[r]`` with ``ids[starts[r] : starts[r] + lengths[r]]``
+  (a BRUTEFORCEPAIRS subset is one row per record, BRUTEFORCEPOINT one row).
+  :func:`expand_rows` turns rows into ``(firsts, seconds)`` pair arrays in
+  one ``repeat``/``cumsum`` pass, in row-major order.
+* **Filter** (:meth:`ExecutionBackend.filter_pairs`).  Side mask, size
+  probe, then the sketch Hamming distance: per sketch word one column
+  gather, one XOR and one popcount added into a ``uint16`` distance,
+  compared with the integer bound :meth:`ExecutionBackend._max_sketch_distance`.
+* **Verify** (:meth:`ExecutionBackend.verify_pairs`).  Every token of
+  every pair is packed as ``pair << 32 | token``; tokens are sorted within
+  a record, so the first side's keys are globally sorted and one
+  ``searchsorted`` finds all matches.  One ``bincount`` (weighted by the
+  matched tokens' weights for a weighted measure) gives every overlap.
+  Preprocessing refuses tokens outside ``[0, 2**32)``
+  (:func:`repro.hashing.minhash.check_hash_keys`), so the packed key is
+  exact.
 
 A pair is accepted if and only if its true similarity meets the threshold,
 decided with the measure's integer overlap bound
 (:func:`repro.similarity.measures.required_overlap_for_jaccard` for Jaccard).
-The scalar per-pair kernels these block kernels must agree with bit for bit
-live in the test suite's oracles (``tests/oracles``).
+The scalar per-pair kernels these segmented kernels must agree with bit for
+bit live in the test suite's oracles (``tests/oracles``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import ClassVar, List, Sequence, Set, Tuple
+from typing import ClassVar, List, Tuple
 
 import numpy as np
 
-from repro.backend.kernels import (
-    csr_overlaps_one_to_many,
-    csr_weighted_overlaps_one_to_many,
-    sketch_estimates,
-)
 from repro.core.preprocess import PreprocessedCollection
-from repro.hashing.sketch import _HAS_BITWISE_COUNT, popcount_rows
-from repro.result import canonical_pair
+from repro.hashing.sketch import popcount_rows, word_popcounts
 from repro.similarity.measures import Measure, get_measure
 
-__all__ = ["ExecutionBackend"]
+__all__ = ["ExecutionBackend", "expand_rows"]
 
-Pair = Tuple[int, int]
+Pairs = Tuple[int, np.ndarray, np.ndarray]
 
 
-@lru_cache(maxsize=64)
-def _triu_indices(num_records: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached upper-triangle index pair for subsets of a given size.
+def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions ``starts[r] + j`` for ``j < lengths[r]``, segment after segment."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.intp) + np.repeat(starts - (ends - lengths), lengths)
 
-    The BRUTEFORCEPAIRS filter is called on thousands of subproblems capped
-    at the same ``limit``, so the index arrays repeat constantly.  The cache
-    is bounded: each entry costs two ``n(n-1)/2`` index arrays, so an
-    unbounded cache over all sizes up to :attr:`ExecutionBackend.BLOCK_ROW_LIMIT`
-    could pin hundreds of megabytes in a long experiment process.
+
+def expand_rows(
+    ids: np.ndarray, anchors: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(firsts, seconds)`` pairs of rows over an id buffer, row-major.
+
+    Row ``r`` contributes ``(anchors[r], ids[starts[r] + j])`` for
+    ``j < lengths[r]``.  All four arrays are ``intp``.
     """
-    first, second = np.triu_indices(num_records, k=1)
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
+    return np.repeat(anchors, lengths), ids[_segment_positions(starts, lengths)]
 
 
 class ExecutionBackend:
     """Verification and estimation kernels bound to one preprocessed collection.
+
+    The join engine calls :meth:`filter_rows` once per chunk of a flush and
+    :meth:`verify_pairs` once per block of survivors; explicit pair streams
+    enter the filter at :meth:`filter_pairs`.  The adaptive rule's estimator
+    calls the average-similarity kernels.
 
     Parameters
     ----------
@@ -84,16 +91,6 @@ class ExecutionBackend:
     """
 
     name: ClassVar[str] = "numpy"
-
-    # Above this subset size the all-pairs block kernel falls back to the
-    # row-by-row pipeline (still vectorized per row) to bound the memory of
-    # the materialized upper triangle.
-    BLOCK_ROW_LIMIT = 512
-
-    # At or below this subset size the all-pairs filter uses a scalar path:
-    # the tree walk produces thousands of tiny buckets for which Python
-    # integer sketch arithmetic beats the fixed cost of numpy dispatches.
-    SMALL_ROW_LIMIT = 12
 
     def __init__(
         self,
@@ -119,8 +116,9 @@ class ExecutionBackend:
         else:
             self._value_weights = None
             self.measure_sizes = self.sizes
-        self._measure_size_list = self.measure_sizes.tolist()
-        self._sketch_ints = collection.sketch_bigints()
+        # Column-major sketch words: the filter gathers one word column per
+        # pass, which is twice as fast as gathering whole rows.
+        self._sketch_columns = np.ascontiguousarray(collection.sketches.words.T)
         self._sketch_distance_bounds: dict = {}
         # Side labels for R ⋈ S joins (None for a self-join).  When present,
         # same-side pairs are dropped before any counting or filtering, so
@@ -134,35 +132,14 @@ class ExecutionBackend:
         self._sketch_bits_built = False
 
     # ------------------------------------------------------------------ filtering
-    def sketch_estimate_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
-        """Sketch-estimated Jaccard similarity of one record against many."""
-        sketches = self.collection.sketches
-        return sketch_estimates(sketches.words[record_id], sketches.words[others], sketches.num_bits)
-
-    def _filter_one_to_many(
-        self,
-        record_id: int,
-        others: np.ndarray,
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> np.ndarray:
-        """Candidates among ``others``: size probe plus optional sketch filter."""
-        passing = self.measure.size_compatible(
-            self.measure_sizes[record_id], self.measure_sizes[others], self.threshold
-        )
-        if use_sketches:
-            estimates = self.sketch_estimate_one_to_many(record_id, others)
-            passing &= estimates >= sketch_cutoff
-        return others[passing]
-
     def _max_sketch_distance(self, sketch_cutoff: float) -> int:
         """Largest sketch Hamming distance whose estimate passes the cut-off.
 
         The estimate ``1 - 2d/num_bits`` is an exact dyadic rational
         (``num_bits`` is a power of two), so comparing the integer distance
         against this precomputed bound is bit-for-bit equivalent to the float
-        comparison ``estimate >= sketch_cutoff`` of the one-to-many filter —
-        the bound is derived by running that exact comparison per distance.
+        comparison ``estimate >= sketch_cutoff`` — the bound is derived by
+        running that exact comparison per distance.
         """
         cached = self._sketch_distance_bounds.get(sketch_cutoff)
         if cached is not None:
@@ -174,265 +151,95 @@ class ExecutionBackend:
         self._sketch_distance_bounds[sketch_cutoff] = bound
         return bound
 
-    # ------------------------------------------------------------------ staged filtering (engine primitives)
-    def filter_point(
+    def filter_rows(
         self,
-        record_id: int,
-        others: np.ndarray,
+        ids: np.ndarray,
+        anchors: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
         use_sketches: bool,
         sketch_cutoff: float,
-    ) -> Tuple[int, np.ndarray]:
-        """Filter stage of BRUTEFORCEPOINT: side mask, size probe, sketch filter.
+    ) -> Pairs:
+        """Filter stage of every pair in a block of rows (see :func:`expand_rows`).
 
-        Returns ``(pre_candidates, survivors)``: ``pre_candidates`` counts
-        every considered pair (after the side mask — in a side-aware
-        collection same-side pairs are not part of the workload) and
-        ``survivors`` the ids that must be verified exactly.
+        Returns ``(pre_candidates, firsts, seconds)`` like :meth:`filter_pairs`.
         """
-        others = np.asarray(others, dtype=np.intp)
-        if self.sides is not None and others.size:
-            others = others[self.sides[others] != self.sides[record_id]]
-        pre_candidates = int(others.size)
-        if pre_candidates == 0:
-            return 0, others
-        return pre_candidates, self._filter_one_to_many(record_id, others, use_sketches, sketch_cutoff)
+        firsts, seconds = expand_rows(ids, anchors, starts, lengths)
+        return self.filter_pairs(firsts, seconds, use_sketches, sketch_cutoff)
 
-    def filter_subset(
+    def filter_pairs(
         self,
-        subset: Sequence[int],
+        firsts: np.ndarray,
+        seconds: np.ndarray,
         use_sketches: bool,
         sketch_cutoff: float,
-    ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Filter stage of BRUTEFORCEPAIRS over every pair within ``subset``.
+    ) -> Pairs:
+        """Side mask, size probe and sketch filter over aligned pair arrays.
 
-        Returns ``(pre_candidates, firsts, seconds)`` where the two id arrays
-        hold the filter-surviving pairs awaiting exact verification.  Tiny
-        subsets take a scalar loop, subsets up to :attr:`BLOCK_ROW_LIMIT`
-        the upper-triangle block kernel, larger ones the row walk.
+        Returns ``(pre_candidates, firsts, seconds)``: ``pre_candidates``
+        counts the pairs left after the side mask (in a side-aware
+        collection same-side pairs are not part of the workload), the two
+        ``intp`` arrays hold the survivors awaiting exact verification, in
+        input order.
         """
-        subset = list(subset)
-        num_records = len(subset)
-        empty = np.zeros(0, dtype=np.intp)
-        if num_records < 2:
-            return 0, empty, empty
-        if num_records <= self.SMALL_ROW_LIMIT:
-            return self._filter_subset_small(subset, use_sketches, sketch_cutoff)
-        if num_records > self.BLOCK_ROW_LIMIT:
-            return self._filter_subset_rows(subset, use_sketches, sketch_cutoff)
-
-        ids = np.asarray(subset, dtype=np.intp)
-        first_pos, second_pos = _triu_indices(num_records)
         if self.sides is not None:
-            # Side mask first: in an R ⋈ S join same-side pairs are not part
-            # of the workload, so they are dropped before the size probe and
-            # the sketch filter and never counted as pre-candidates.
-            subset_sides = self.sides[ids]
-            cross = subset_sides[first_pos] != subset_sides[second_pos]
-            first_pos, second_pos = first_pos[cross], second_pos[cross]
-        pre_candidates = int(first_pos.size)
-        if pre_candidates == 0:
-            return 0, empty, empty
-
-        sizes = self.measure_sizes[ids]
-        passing = self.measure.size_compatible(sizes[first_pos], sizes[second_pos], self.threshold)
-        first_pos, second_pos = first_pos[passing], second_pos[passing]
-
-        if use_sketches and first_pos.size:
-            sketches = self.collection.sketches
-            words = sketches.words[ids]
-            # The gathered pair block is a private temporary, so the XOR and
-            # the popcount both run in place to avoid further allocations.
-            xored = words[first_pos]
-            np.bitwise_xor(xored, words[second_pos], out=xored)
-            if _HAS_BITWISE_COUNT:
-                np.bitwise_count(xored, out=xored)
-                distances = xored.sum(axis=1, dtype=np.int64)
-            else:
-                distances = popcount_rows(xored)
+            cross = self.sides[firsts] != self.sides[seconds]
+            firsts, seconds = firsts[cross], seconds[cross]
+        pre_candidates = int(firsts.size)
+        sizes = self.measure_sizes
+        passing = self.measure.size_compatible(sizes[firsts], sizes[seconds], self.threshold)
+        firsts, seconds = firsts[passing], seconds[passing]
+        if use_sketches and firsts.size:
+            distances = np.zeros(firsts.size, dtype=np.uint16)
+            for column in self._sketch_columns:
+                # The gathered column is a private temporary: XOR in place.
+                words = column[firsts]
+                np.bitwise_xor(words, column[seconds], out=words)
+                distances += word_popcounts(words)
             surviving = distances <= self._max_sketch_distance(sketch_cutoff)
-            first_pos, second_pos = first_pos[surviving], second_pos[surviving]
-
-        return pre_candidates, ids[first_pos], ids[second_pos]
-
-    def _filter_subset_rows(
-        self,
-        subset: List[int],
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """All-pairs filter as one :meth:`filter_point` per row (large subsets).
-
-        Memory stays linear in the subset size: each row filters the record
-        against the records after it.
-        """
-        pre_candidates = 0
-        firsts: List[int] = []
-        seconds: List[int] = []
-        for position, record_id in enumerate(subset):
-            rest = subset[position + 1 :]
-            if not rest:
-                continue
-            pre, passing = self.filter_point(
-                record_id, np.asarray(rest, dtype=np.intp), use_sketches, sketch_cutoff
-            )
-            pre_candidates += pre
-            firsts.extend([record_id] * int(passing.size))
-            seconds.extend(int(other) for other in passing)
-        return (
-            pre_candidates,
-            np.asarray(firsts, dtype=np.intp),
-            np.asarray(seconds, dtype=np.intp),
-        )
-
-    def _filter_subset_small(
-        self,
-        subset: List[int],
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Scalar all-pairs filter for tiny subproblems.
-
-        Arithmetically identical to the block kernel: the same size probe and
-        the same sketch estimate ``1 - 2d/num_bits`` (evaluated on the same
-        IEEE doubles, with the Hamming distance taken by ``int.bit_count``
-        on the cached big-integer sketches).
-        """
-        num_records = len(subset)
-        sides = self.sides
-        if sides is None:
-            pre_candidates = num_records * (num_records - 1) // 2
-        else:
-            # Only cross-side pairs count: with n₀ R-records and n₁ S-records
-            # in the subset, the workload is n₀ · n₁ pairs.
-            num_right = int(np.count_nonzero(sides[np.asarray(subset, dtype=np.intp)]))
-            pre_candidates = num_right * (num_records - num_right)
-        firsts: List[int] = []
-        seconds: List[int] = []
-        sizes = self._measure_size_list
-        sketch_ints = self._sketch_ints
-        num_bits = self.collection.sketches.num_bits
-        threshold = self.threshold
-        size_compatible_one = self.measure.size_compatible_one
-        for position in range(num_records):
-            record_id = subset[position]
-            size_first = sizes[record_id]
-            for other_position in range(position + 1, num_records):
-                other_id = subset[other_position]
-                if sides is not None and sides[record_id] == sides[other_id]:
-                    continue
-                size_second = sizes[other_id]
-                if not size_compatible_one(size_first, size_second, threshold):
-                    continue
-                if use_sketches:
-                    distance = (sketch_ints[record_id] ^ sketch_ints[other_id]).bit_count()
-                    if 1.0 - 2.0 * distance / num_bits < sketch_cutoff:
-                        continue
-                firsts.append(record_id)
-                seconds.append(other_id)
-        return (
-            pre_candidates,
-            np.asarray(firsts, dtype=np.intp),
-            np.asarray(seconds, dtype=np.intp),
-        )
+            firsts, seconds = firsts[surviving], seconds[surviving]
+        return pre_candidates, firsts, seconds
 
     # ------------------------------------------------------------------ exact verification
-    def _record_tokens(self, record_id: int) -> np.ndarray:
-        start = self._offsets[record_id]
-        return self._values[start : start + self.sizes[record_id]]
+    def _token_keys(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``pair << 32 | token`` for every token of ``ids[pair]``, pair-major.
 
-    def _overlaps_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
-        """Exact (possibly weighted) overlaps of one record against a block."""
-        if self._value_weights is not None:
-            start = self._offsets[record_id]
-            return csr_weighted_overlaps_one_to_many(
-                self._record_tokens(record_id),
-                self._value_weights[start : start + self.sizes[record_id]],
-                self._values,
-                self._offsets,
-                self.sizes,
-                others,
-            )
-        return csr_overlaps_one_to_many(
-            self._record_tokens(record_id), self._values, self._offsets, self.sizes, others
-        )
-
-    def verify_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of ``others`` truly meet the threshold against ``record_id``."""
-        others = np.asarray(others, dtype=np.intp)
-        if others.size == 0:
-            return np.zeros(0, dtype=bool)
-        overlaps = self._overlaps_one_to_many(record_id, others)
-        required = self.measure.required_overlaps(
-            self.measure_sizes[record_id], self.measure_sizes[others], self.threshold
-        )
-        return overlaps >= required
+        Also returns each token's position in the packed token array (for
+        the weight lookup).  Tokens are sorted within a record, so the keys
+        come out globally sorted.
+        """
+        lengths = self.sizes[ids]
+        positions = _segment_positions(self._offsets[ids], lengths)
+        keys = np.repeat(np.arange(ids.size, dtype=np.int64) << 32, lengths)
+        keys |= self._values[positions]
+        return keys, positions
 
     def verify_pairs(self, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
-        """Exact verification of an arbitrary block of (first, second) pairs.
+        """Exact verification of aligned pair arrays; returns the accept mask.
 
-        Pairs are grouped by their first record so each group reduces to one
-        vectorized one-to-many verification.
+        One segmented intersection covers the whole block: the second
+        side's keys are looked up in the (sorted) first side's keys, and
+        the overlap of pair ``p`` is the number (or summed weight) of its
+        matches.
         """
-        firsts = np.asarray(firsts, dtype=np.intp)
-        seconds = np.asarray(seconds, dtype=np.intp)
-        accepted = np.zeros(firsts.size, dtype=bool)
-        if firsts.size == 0:
-            return accepted
-        order = np.argsort(firsts, kind="stable")
-        sorted_firsts = firsts[order]
-        sorted_seconds = seconds[order]
-        group_starts = np.flatnonzero(np.r_[True, sorted_firsts[1:] != sorted_firsts[:-1]])
-        group_ends = np.r_[group_starts[1:], sorted_firsts.size]
-        for start, end in zip(group_starts, group_ends):
-            record_id = int(sorted_firsts[start])
-            accepted[order[start:end]] = self.verify_one_to_many(
-                record_id, sorted_seconds[start:end]
-            )
-        return accepted
-
-    # ------------------------------------------------------------------ candidate pipelines
-    def one_to_many(
-        self,
-        record_id: int,
-        others: np.ndarray,
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> Tuple[int, int, List[int]]:
-        """Full pipeline for one record against many: filter, then verify.
-
-        Returns ``(pre_candidates, verified, accepted_ids)`` where
-        ``pre_candidates`` counts every considered pair and ``verified`` the
-        pairs surviving the filters (and therefore exactly verified).  In a
-        side-aware collection, same-side pairs are not considered at all.
-        """
-        pre_candidates, passing = self.filter_point(record_id, others, use_sketches, sketch_cutoff)
-        if passing.size == 0:
-            return pre_candidates, 0, []
-        accepted = self.verify_one_to_many(record_id, passing)
-        return pre_candidates, int(passing.size), [int(other) for other in passing[accepted]]
-
-    def all_pairs(
-        self,
-        subset: Sequence[int],
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> Tuple[int, int, Set[Pair]]:
-        """Full pipeline for every pair within ``subset`` (BRUTEFORCEPAIRS).
-
-        Expressed as the staged primitives run back to back:
-        :meth:`filter_subset` followed by :meth:`verify_pairs`.  Returns
-        ``(pre_candidates, verified, accepted_pairs)``.
-        """
-        pre_candidates, firsts, seconds = self.filter_subset(subset, use_sketches, sketch_cutoff)
-        verified = int(firsts.size)
-        if verified == 0:
-            return pre_candidates, 0, set()
-        mask = self.verify_pairs(firsts, seconds)
-        accepted = {
-            canonical_pair(int(first), int(second))
-            for first, second in zip(firsts[mask], seconds[mask])
-        }
-        return pre_candidates, verified, accepted
+        count = int(firsts.size)
+        if count == 0:
+            return np.zeros(0, dtype=bool)
+        first_keys, _ = self._token_keys(firsts)
+        second_keys, second_positions = self._token_keys(seconds)
+        found = np.searchsorted(first_keys, second_keys)
+        np.minimum(found, first_keys.size - 1, out=found)
+        matched = first_keys[found] == second_keys
+        pair_of_match = second_keys[matched] >> 32
+        if self._value_weights is None:
+            overlaps = np.bincount(pair_of_match, minlength=count)
+        else:
+            # Summed pair by pair in token order, like the scalar merge.
+            weights = self._value_weights[second_positions[matched]]
+            overlaps = np.bincount(pair_of_match, weights=weights, minlength=count)
+        sizes = self.measure_sizes
+        required = self.measure.required_overlaps(sizes[firsts], sizes[seconds], self.threshold)
+        return overlaps >= required
 
     # ------------------------------------------------------------------ average similarity
     def average_similarity_exact(self, subset: List[int]) -> np.ndarray:

@@ -1,17 +1,18 @@
-"""Shared vectorized verification kernels over CSR-packed token arrays.
+"""Vectorized kernels shared outside the join's execution backend.
 
-The numpy execution backend and the :class:`repro.index.SimilarityIndex`
-both verify candidates with the same primitive: the exact intersection size
-of one sorted token array against a block of CSR-packed records, reduced via
-``searchsorted`` plus a segmented sum.  The kernels live here so the two can
-never diverge — the backend binds them to a
-:class:`~repro.core.preprocess.PreprocessedCollection`, the index to its
-growable :class:`~repro.store.RecordStore`.
+* :func:`csr_overlaps_one_to_many` and its weighted twin — the exact
+  intersection of one sorted token array against a block of CSR-packed
+  records, reduced via ``searchsorted`` plus a segmented sum.  The
+  :class:`repro.index.SimilarityIndex` verifies every query's candidates
+  with them (a join verifies a whole flush at once, through
+  :meth:`repro.backend.ExecutionBackend.verify_pairs`).
+* :func:`sketch_estimates` — 1-bit sketch similarity estimates of aligned
+  or broadcast sketch rows (the index's sketch filter).
+* :func:`group_rows_first_occurrence` — MinHash LSH's bucketing.
 
-Acceptance is always decided with the integer overlap bound
-``|x ∩ y| ≥ ⌈λ/(1+λ)(|x| + |y|)⌉``
-(:func:`repro.similarity.measures.required_overlap_for_jaccard` evaluated
-vectorized), so scalar and vectorized callers agree on every borderline pair.
+Acceptance is always decided with the measure's overlap bound
+(:meth:`repro.similarity.measures.Measure.required_overlaps`), so scalar
+and vectorized callers agree on every borderline pair.
 """
 
 from __future__ import annotations
@@ -24,22 +25,8 @@ __all__ = [
     "csr_overlaps_one_to_many",
     "csr_weighted_overlaps_one_to_many",
     "group_rows_first_occurrence",
-    "overlap_jaccard",
-    "required_overlaps",
-    "size_compatible_mask",
     "sketch_estimates",
 ]
-
-
-def size_compatible_mask(
-    first_sizes: np.ndarray, second_sizes: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Size-compatibility probe: ``J(x, y) ≥ λ`` forces ``λ ≤ |y|/|x| ≤ 1/λ``.
-
-    Broadcasts, so either side may be a scalar.  Every filter stage in the
-    repository (engine, backends, index) evaluates exactly this expression.
-    """
-    return (second_sizes >= threshold * first_sizes) & (first_sizes >= threshold * second_sizes)
 
 
 def sketch_estimates(
@@ -151,19 +138,6 @@ def csr_weighted_overlaps_one_to_many(
     return np.add.reduceat(np.where(matches, query_weights[positions], 0.0), boundaries[:-1])
 
 
-def required_overlaps(
-    query_size: int, other_sizes: np.ndarray, overlap_ratio: float
-) -> np.ndarray:
-    """Vectorized ``⌈λ/(1+λ)(|x| + |y|)⌉`` with the backend's epsilon guard.
-
-    ``overlap_ratio`` is the precomputed ``λ / (1 + λ)``; the ``1e-9`` slack
-    mirrors :func:`repro.similarity.measures.required_overlap_for_jaccard` so
-    float rounding can never flip a borderline pair.
-    """
-    sums = query_size + np.asarray(other_sizes)
-    return np.ceil(overlap_ratio * sums - 1e-9).astype(np.int64)
-
-
 def group_rows_first_occurrence(keys: np.ndarray, min_size: int = 1) -> "list[np.ndarray]":
     """Group the rows of a key matrix by identical key tuples, column-wise.
 
@@ -203,12 +177,3 @@ def group_rows_first_occurrence(keys: np.ndarray, min_size: int = 1) -> "list[np
     starts = group_starts[keep][emit]
     counts = group_counts[keep][emit]
     return [order[start : start + count] for start, count in zip(starts.tolist(), counts.tolist())]
-
-
-def overlap_jaccard(query_size: int, other_sizes: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Exact Jaccard similarities from intersection sizes (``|∩| / |∪|``)."""
-    overlaps = np.asarray(overlaps, dtype=np.float64)
-    unions = query_size + np.asarray(other_sizes, dtype=np.float64) - overlaps
-    with np.errstate(invalid="ignore", divide="ignore"):
-        similarity = np.where(unions > 0, overlaps / np.maximum(unions, 1.0), 1.0)
-    return similarity

@@ -1,68 +1,45 @@
-"""Brute-force subroutines of CPSJOIN (Algorithm 2).
+"""The adaptive BRUTEFORCE rule's similarity estimator (Algorithm 2).
 
-Three pieces live here, shared by the CPSJOIN engine and the MinHash LSH
-baseline:
+The brute-force comparisons themselves — BRUTEFORCEPAIRS over a subproblem,
+BRUTEFORCEPOINT of one record against it — are candidate tasks
+(:class:`~repro.engine.stages.SubsetCandidates`,
+:class:`~repro.engine.stages.PointCandidates`) that the staged
+:class:`~repro.engine.JoinEngine` filters and verifies in segmented passes,
+a whole flush of tasks at a time.  What stays here is the estimate that
+decides *when* the recursion brute-forces:
+``BruteForcer.average_similarities``, each record's average similarity to
+the rest of the subproblem (equation IV-C1), either via exact token
+counting (Algorithm 2) or via the sampled 1-bit sketch estimator the
+paper's implementation uses (Section V-A.4).
 
-* ``BruteForcer.pairs`` — BRUTEFORCEPAIRS: compare all pairs within a
-  subproblem, reporting those meeting the threshold.
-* ``BruteForcer.point`` — BRUTEFORCEPOINT: compare one record against every
-  record of a subproblem.
-* ``BruteForcer.average_similarities`` — the estimate of each record's average
-  similarity to the rest of the subproblem that drives the adaptive recursion
-  rule (equation IV-C1), either via exact token counting (Algorithm 2) or via
-  the sampled 1-bit sketch estimator the paper's implementation uses
-  (Section V-A.4).
-
-All candidate pairs go through the same two-stage check the paper describes:
-a size-compatibility probe and the 1-bit minwise sketch estimate with cut-off
-``λ̂`` (chosen for false-negative probability ``δ``); survivors are verified
-exactly on the original token sets.
-
-The arithmetic itself is delegated to the execution backend
-(:mod:`repro.backend`), which verifies whole candidate blocks with vectorized
-kernels; ``BruteForcer`` only owns the policy (which subsets to compare) and
-the statistics bookkeeping.
-
-When the preprocessed collection carries per-record side labels (an R ⋈ S
-join, see :func:`repro.core.preprocess.preprocess_collection`), the backend
-makes ``pairs`` and ``point`` side-aware: same-side pairs are skipped before
-any counting, so the statistics only reflect cross-side work.  The
-:meth:`BruteForcer.average_similarities` estimate intentionally stays
-side-blind — it only steers *when* the recursion brute-forces, so keeping it
-identical to the self-join makes the R ⋈ S recursion (and its randomness
-consumption) match a union self-join at the same seed exactly.
+The arithmetic is delegated to the execution backend
+(:mod:`repro.backend`).  The estimate is side-blind in an R ⋈ S join: it
+only steers *when* the recursion brute-forces, so keeping it identical to
+the self-join makes the R ⋈ S recursion (and its randomness consumption)
+match a union self-join at the same seed exactly.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.preprocess import PreprocessedCollection
-from repro.hashing.sketch import sketch_similarity_threshold
-from repro.result import JoinStats, canonical_pair
 
 __all__ = ["BruteForcer"]
 
 
 class BruteForcer:
-    """Candidate generation and verification kernel over a preprocessed collection.
+    """Average-similarity estimator of the adaptive rule over a preprocessed collection.
 
     Parameters
     ----------
     collection:
         The preprocessed records (token sets, signatures, sketches).
     threshold:
-        Jaccard threshold ``λ``.
-    stats:
-        Statistics object updated in place (pre-candidates / candidates /
-        verified counts).
-    use_sketches:
-        When False the sketch filter is skipped (ablation A2): every
-        size-compatible pre-candidate is verified exactly.
-    sketch_false_negative_rate:
-        ``δ`` — used to derive the sketch estimate cut-off ``λ̂``.
+        Jaccard threshold ``λ`` (binds a new backend; ignored when
+        ``backend`` is an instance).
     rng:
         Randomness used only for the sampled average-similarity estimator.
     backend:
@@ -74,9 +51,6 @@ class BruteForcer:
         self,
         collection: PreprocessedCollection,
         threshold: float,
-        stats: JoinStats,
-        use_sketches: bool = True,
-        sketch_false_negative_rate: float = 0.05,
         rng: Optional[np.random.Generator] = None,
         backend: Union[str, "object", None] = None,
     ) -> None:
@@ -86,38 +60,8 @@ class BruteForcer:
             raise ValueError("threshold must be in (0, 1]")
         self.collection = collection
         self.threshold = threshold
-        self.stats = stats
-        self.use_sketches = use_sketches
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.sketch_cutoff = sketch_similarity_threshold(
-            threshold, collection.sketches.num_bits, sketch_false_negative_rate
-        )
         self.backend = make_backend(backend, collection, threshold)
-
-    # ------------------------------------------------------------------ pair reporting
-    def pairs(self, subset: Sequence[int], output: Set[Tuple[int, int]]) -> None:
-        """BRUTEFORCEPAIRS: report all pairs within ``subset`` meeting the threshold."""
-        pre_candidates, verified, accepted = self.backend.all_pairs(
-            subset, self.use_sketches, self.sketch_cutoff
-        )
-        self.stats.pre_candidates += pre_candidates
-        self.stats.candidates += verified
-        self.stats.verified += verified
-        output |= accepted
-
-    def point(self, subset: Sequence[int], record_id: int, output: Set[Tuple[int, int]]) -> None:
-        """BRUTEFORCEPOINT: report all pairs between ``record_id`` and ``subset``."""
-        others = [other for other in subset if other != record_id]
-        if not others:
-            return
-        pre_candidates, verified, accepted_ids = self.backend.one_to_many(
-            record_id, np.asarray(others, dtype=np.intp), self.use_sketches, self.sketch_cutoff
-        )
-        self.stats.pre_candidates += pre_candidates
-        self.stats.candidates += verified
-        self.stats.verified += verified
-        for other_id in accepted_ids:
-            output.add(canonical_pair(record_id, other_id))
 
     # ------------------------------------------------------------------ average similarity
     def average_similarities(

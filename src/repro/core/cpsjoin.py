@@ -87,13 +87,7 @@ class ChosenPathCandidateStage(CandidateStage):
         # The estimator drives the adaptive rule; it shares the engine's
         # backend instance so token packing happens once per collection.
         self.estimator = BruteForcer(
-            collection,
-            join.embedded_threshold,
-            stats,
-            use_sketches=join.config.use_sketches,
-            sketch_false_negative_rate=join.config.sketch_false_negative_rate,
-            rng=rng,
-            backend=engine.backend,
+            collection, join.embedded_threshold, rng=rng, backend=engine.backend
         )
 
     def tasks(self) -> Iterator[Task]:

@@ -42,9 +42,9 @@ class PreprocessedCollection:
     A thin view over a :class:`repro.store.RecordStore`: ``signatures``,
     ``sketches``, ``sides`` and the CSR token arrays are zero-copy views of
     the store's flat arrays, while ``records`` (Python tuples, used by the
-    scalar reference backend and exact verification) and ``sketch_bigints``
-    are materialized lazily and cached — at most once per process, never per
-    repetition.
+    scalar reference backend and exact verification) and the other derived
+    artefacts below are materialized lazily and cached — at most once per
+    process, never per repetition.
 
     Attributes
     ----------
@@ -131,11 +131,12 @@ class PreprocessedCollection:
     def sketch_bigints(self) -> List[int]:
         """Each record's 1-bit sketch as one Python integer, built lazily.
 
-        The scalar fast paths compare sketches with ``int.bit_count()`` on
-        these arbitrary-precision integers instead of dispatching numpy calls
-        on tiny arrays; cached per process.  Concurrent first calls from
-        several threads are a benign race: both compute the same list and
-        the last assignment wins.
+        No join uses it: the scalar reference backend of the test suite
+        compares sketches with ``int.bit_count()`` on these integers, and
+        the benchmark (``perfbench``) builds them during its set-up.
+        Cached per process.  Concurrent first calls from several threads
+        are a benign race: both compute the same list and the last
+        assignment wins.
         """
         if self._sketch_bigints is None:
             words = np.ascontiguousarray(self.store.sketch_words)

@@ -17,11 +17,14 @@ driven by :class:`repro.engine.JoinEngine`:
   into the final result set.
 * :class:`SketchFilterStage` — the cheap filters: side mask, size
   compatibility probe and the 1-bit minwise sketch estimate with cut-off
-  ``λ̂``, executed by the bound :class:`repro.backend.ExecutionBackend`.
-  Algorithms with a different pruning rule substitute a subclass (BayesLSH
-  replaces the fixed cut-off with its incremental posterior pruning).
+  ``λ̂``, executed by the bound :class:`repro.backend.ExecutionBackend` over
+  a whole flush at once (:meth:`~SketchFilterStage.filter_rows` for the
+  subset and point tasks, :meth:`~SketchFilterStage.filter_pairs` for
+  explicit pair streams).  Algorithms with a different pruning rule
+  substitute a subclass (BayesLSH replaces the fixed cut-off with its
+  incremental posterior pruning).
 * :class:`VerifyStage` — exact verification of every filter survivor on the
-  original token sets, through the backend's block verifier.
+  original token sets, through the backend's segmented verifier.
 
 Counting conventions (matching Table IV of the paper): ``pre_candidates``
 counts every pair a task considers after the side mask; for
@@ -40,7 +43,6 @@ from typing import Iterable, Iterator, List, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.backend import ExecutionBackend
-from repro.backend.kernels import sketch_estimates
 from repro.result import canonical_pair
 
 __all__ = [
@@ -63,8 +65,9 @@ class SubsetCandidates:
     """All pairs within ``subset`` are candidates (BRUTEFORCEPAIRS shape).
 
     ``subset`` is any integer sequence: scalar candidate walks emit tuples,
-    the array frontier emits numpy index slices — the filter stages accept
-    both (they index the backend's arrays with it directly).
+    the array frontier emits numpy index slices.  The engine flattens it
+    into one row per record: the record against the records after it, so
+    the pairs come in ``itertools.combinations(subset, 2)`` order.
     """
 
     subset: Sequence[int]
@@ -79,7 +82,8 @@ class PointCandidates:
     """Every (anchor, other) pair is a candidate (BRUTEFORCEPOINT shape).
 
     ``others`` is any integer sequence (tuple or numpy index array), like
-    :class:`SubsetCandidates.subset`.
+    :class:`SubsetCandidates.subset`.  The engine flattens the task into one
+    row: the anchor against its others, in order.
     """
 
     anchor: int
@@ -151,16 +155,18 @@ class DedupStage:
 
     def accept(self, firsts: np.ndarray, seconds: np.ndarray, mask: np.ndarray) -> None:
         """Fold verified pairs into the result set (collapsing duplicates)."""
-        for first, second in zip(firsts[mask], seconds[mask]):
-            self.result.add(canonical_pair(int(first), int(second)))
+        firsts, seconds = firsts[mask], seconds[mask]
+        self.result.update(
+            zip(np.minimum(firsts, seconds).tolist(), np.maximum(firsts, seconds).tolist())
+        )
 
 
 # ---------------------------------------------------------------- filter stage
 class SketchFilterStage:
     """Side mask + size probe + 1-bit sketch filter with a fixed cut-off ``λ̂``.
 
-    The arithmetic is delegated to the execution backend's vectorized
-    filter kernels.
+    The arithmetic is delegated to the execution backend's segmented
+    filter kernel.
     """
 
     def __init__(self, backend: ExecutionBackend, use_sketches: bool, sketch_cutoff: float) -> None:
@@ -168,37 +174,28 @@ class SketchFilterStage:
         self.use_sketches = use_sketches
         self.sketch_cutoff = sketch_cutoff
 
-    def filter_subset(self, subset: Sequence[int]) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Filter all pairs within a subset; returns ``(pre, firsts, seconds)``."""
-        return self.backend.filter_subset(subset, self.use_sketches, self.sketch_cutoff)
+    def filter_rows(
+        self, ids: np.ndarray, anchors: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Filter every pair of a block of rows; returns ``(pre, firsts, seconds)``.
 
-    def filter_point(self, anchor: int, others: Sequence[int]) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Filter one record against a subset; returns ``(pre, firsts, seconds)``."""
-        pre, passing = self.backend.filter_point(
-            anchor, np.asarray(others, dtype=np.intp), self.use_sketches, self.sketch_cutoff
+        Row ``r`` pairs ``anchors[r]`` with ``ids[starts[r] : starts[r] + lengths[r]]``.
+        """
+        return self.backend.filter_rows(
+            ids, anchors, starts, lengths, self.use_sketches, self.sketch_cutoff
         )
-        firsts = np.full(passing.size, anchor, dtype=np.intp)
-        return pre, firsts, passing.astype(np.intp, copy=False)
 
     def filter_pairs(self, firsts: np.ndarray, seconds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Filter an explicit (already deduplicated) block of pairs.
+        """Filter an explicit (already deduplicated and side-masked) block of pairs.
 
-        The base implementation applies the shared size-probe and
-        sketch-estimate kernels pairwise; subclasses may substitute an
-        entirely different pruning rule (BayesLSH's posterior check).
+        The base implementation runs the same kernel as :meth:`filter_rows`;
+        subclasses may substitute an entirely different pruning rule
+        (BayesLSH's posterior check).
         """
-        if firsts.size == 0:
-            return firsts, seconds
-        backend = self.backend
-        sizes = backend.measure_sizes
-        passing = backend.measure.size_compatible(sizes[firsts], sizes[seconds], backend.threshold)
-        if self.use_sketches:
-            sketches = backend.collection.sketches
-            estimates = sketch_estimates(
-                sketches.words[firsts], sketches.words[seconds], sketches.num_bits
-            )
-            passing &= estimates >= self.sketch_cutoff
-        return firsts[passing], seconds[passing]
+        _, firsts, seconds = self.backend.filter_pairs(
+            firsts, seconds, self.use_sketches, self.sketch_cutoff
+        )
+        return firsts, seconds
 
 
 # ---------------------------------------------------------------- verify stage

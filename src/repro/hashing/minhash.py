@@ -29,7 +29,29 @@ import numpy as np
 
 from repro.hashing.tabulation import TabulationHashFamily, tabulate_many_functions
 
-__all__ = ["MinHasher", "MinHashSignatures"]
+__all__ = ["MinHasher", "MinHashSignatures", "check_hash_keys"]
+
+_HASH_KEY_LIMIT = 1 << 32
+"""The hashers take 32-bit keys: every hashed token must lie in ``[0, 2**32)``."""
+
+
+def check_hash_keys(values: np.ndarray, offsets: np.ndarray, noun: str = "record") -> None:
+    """Refuse tokens the 32-bit hashers cannot take, before any hashing.
+
+    ``values`` / ``offsets`` are CSR-packed tokens: record ``i`` is
+    ``values[offsets[i] : offsets[i + 1]]``.  The check is one min/max pass;
+    only a failing check locates the first offender, raising
+    :class:`ValueError` that names it as ``{noun} {i}`` with its token.
+    """
+    if values.size == 0 or (values.min() >= 0 and values.max() < _HASH_KEY_LIMIT):
+        return
+    position = int(np.flatnonzero((values < 0) | (values >= _HASH_KEY_LIMIT))[0])
+    index = int(np.searchsorted(offsets, position, side="right")) - 1
+    raise ValueError(
+        f"{noun} {index} has token {values[position]}, outside [0, 2**32): MinHash and the "
+        "1-bit sketches hash 32-bit keys (only the exact joins and an exact index without "
+        "sketches take 64-bit tokens)"
+    )
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ __all__ = [
     "popcount",
     "popcount_rows",
     "popcount_words",
+    "word_popcounts",
 ]
 
 _WORD_BITS = 64
@@ -63,13 +64,18 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
     return _POPCOUNT_TABLE[bytes_view].sum(axis=1, dtype=np.int64)
 
 
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Element-wise popcount of an array of uint64 words (same shape out)."""
+def word_popcounts(words: np.ndarray) -> np.ndarray:
+    """Element-wise popcount of an array of uint64 words, as ``uint8`` (same shape out)."""
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).astype(np.int64)
+        return np.bitwise_count(words)
     words = np.ascontiguousarray(words)
     bytes_view = words.view(np.uint8).reshape(words.shape + (8,))
-    return _POPCOUNT_TABLE[bytes_view].sum(axis=-1, dtype=np.int64)
+    return _POPCOUNT_TABLE[bytes_view].sum(axis=-1, dtype=np.uint8)
+
+
+def popcount_words(words: np.ndarray) -> np.ndarray:
+    """Element-wise popcount of an array of uint64 words, as ``int64`` (same shape out)."""
+    return word_popcounts(words).astype(np.int64)
 
 
 def sketch_similarity_threshold(

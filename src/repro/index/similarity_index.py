@@ -40,6 +40,7 @@ from __future__ import annotations
 import pickle
 import struct
 import time
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -51,7 +52,7 @@ from repro.backend.kernels import (
     sketch_estimates,
 )
 from repro.datasets.base import Record
-from repro.hashing.minhash import MinHasher
+from repro.hashing.minhash import MinHasher, check_hash_keys
 from repro.hashing.sketch import (
     pack_sketch_rows,
     sample_sketch_hashers,
@@ -94,9 +95,6 @@ class IndexPersistenceError(ValueError):
 TOKEN_INT64_MIN = -(2**63)
 TOKEN_INT64_MAX = 2**63 - 1
 """Token bounds of the index's int64 storage (shared with the wire protocol)."""
-
-_HASHED_TOKEN_MAX = 2**32 - 1
-"""Largest token a hashing index takes: MinHash and the Chosen Path trees hash 32-bit keys."""
 
 
 def normalized_tokens(record, action: str) -> Tuple[int, ...]:
@@ -422,16 +420,7 @@ class SimilarityIndex:
         first = len(self)
         if not block:
             return first
-        if self.candidates != "exact" or self.use_sketches:
-            # Every mode but exact without sketches hashes 32-bit keys.
-            low = min(tokens[0] for tokens in block)
-            high = max(tokens[-1] for tokens in block)
-            if low < 0 or high > _HASHED_TOKEN_MAX:
-                raise ValueError(
-                    f"token {low if low < 0 else high} is outside [0, 2**32), the key "
-                    "range of the index's hashing; only candidates='exact' without "
-                    "sketches takes 64-bit tokens"
-                )
+        self.check_hash_keys(block, "record")
         store = self._store
         sketches = self._sketch_rows(block) if self.use_sketches else None
         measure_sizes = None
@@ -445,6 +434,20 @@ class SimilarityIndex:
             for offset, tokens in enumerate(block):
                 self._structure.insert(first + offset, tokens)
         return first
+
+    def check_hash_keys(self, records: Sequence[Record], noun: str) -> None:
+        """Refuse normalized records holding a token this index cannot hash.
+
+        Every mode but exact without sketches hashes 32-bit keys (see
+        :func:`repro.hashing.minhash.check_hash_keys`); the error names the
+        offender as ``{noun} {position in records}``.
+        """
+        if self.candidates == "exact" and not self.use_sketches:
+            return
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum([len(tokens) for tokens in records], out=offsets[1:])
+        values = np.fromiter(chain.from_iterable(records), dtype=np.int64, count=int(offsets[-1]))
+        check_hash_keys(values, offsets, noun)
 
     def _sketch_rows(self, block: Sequence[Record]) -> np.ndarray:
         """Sketch words of normalized records, with ``build_sketches``' hashers and packing."""
@@ -497,11 +500,12 @@ class SimilarityIndex:
         started = time.perf_counter()
         results: List[List[Match]] = []
         with span("index.query_batch", queries=len(records)):
-            for start in range(0, len(records), QUERY_CHUNK_SIZE):
-                chunk = [
-                    normalized_tokens(record, "query with")
-                    for record in records[start : start + QUERY_CHUNK_SIZE]
-                ]
+            # Every query is checked before any is answered: one bad record
+            # fails the call, never half of it.
+            normalized = [normalized_tokens(record, "query with") for record in records]
+            self.check_hash_keys(normalized, "query")
+            for start in range(0, len(normalized), QUERY_CHUNK_SIZE):
+                chunk = normalized[start : start + QUERY_CHUNK_SIZE]
                 sketches = None
                 if self.use_sketches:
                     # Filter-stage time: the sketches exist only to feed the filter.
@@ -561,9 +565,8 @@ class SimilarityIndex:
         if candidate_ids.size == 0:
             return []
 
-        # The filter: the measure's size probe (for the default measure,
-        # exactly the join engine's size_compatible_mask), then the sketch
-        # cut-off through the join's sketch_estimates kernel.
+        # The filter: the measure's size probe (the join's probe), then the
+        # sketch cut-off through the sketch_estimates kernel.
         started = time.perf_counter()
         if store.measure_sizes is None:
             query_size, sizes = len(tokens), store.sizes

@@ -643,7 +643,7 @@ class SimilarityServer:
         assert self._index is not None and self._coalescer is not None
         operation = request["op"]
         if operation == "query":
-            record = _normalize_record(request["record"], "query with")
+            record = self._query_record(request["record"])
             with span("coalesce.wait"):
                 matches = await self._coalescer.submit(record)
             return {"matches": encode_matches(matches)}
@@ -652,7 +652,7 @@ class SimilarityServer:
             # batch with everything else); the truncation is the shared
             # topk_from_matches rule, so the answer is by construction the
             # prefix of the corresponding threshold query.
-            record = _normalize_record(request["record"], "query with")
+            record = self._query_record(request["record"])
             with span("coalesce.wait"):
                 matches = await self._coalescer.submit(record)
             top = topk_from_matches(matches, request["k"], request["floor"])
@@ -685,6 +685,16 @@ class SimilarityServer:
             return self._metrics_payload()
         # health
         return {"status": "ok", "records": len(self._index)}
+
+    def _query_record(self, tokens: Sequence[int]) -> Record:
+        """A coalesced query's record, refused here if the index cannot hash it.
+
+        Checked before the record joins a batch, so a bad query gets its
+        own error and never fails the queries coalesced with it.
+        """
+        record = _normalize_record(tokens, "query with")
+        self._index.check_hash_keys([record], "query")
+        return record
 
     # ------------------------------------------------------------------ observability
     def _observe_batch(self, batch_size: int, wait_seconds: float, reason: str) -> None:

@@ -327,7 +327,12 @@ class Measure:
         return math.ceil(raw - _EPSILON)
 
     def required_overlaps(self, query_size, other_sizes: np.ndarray, threshold: float) -> np.ndarray:
-        """Vectorized :meth:`required_overlap` against one query record."""
+        """Vectorized :meth:`required_overlap`: one query against many, or aligned pairs.
+
+        ``query_size`` broadcasts against ``other_sizes``: a scalar (one
+        query record) or an array of the same shape (the first records of
+        a block of pairs).
+        """
         raw = self._required_raw_vector(query_size, other_sizes, threshold)
         if self.weighted:
             return raw - _EPSILON
@@ -342,10 +347,6 @@ class Measure:
     # ------------------------------------------------------------------ size probes
     def size_compatible(self, first_sizes, second_sizes, threshold: float):
         """Vectorized length filter: can records of these sizes qualify at all?"""
-        raise NotImplementedError
-
-    def size_compatible_one(self, size_first, size_second, threshold: float) -> bool:
-        """Scalar length filter (pure Python, for the scalar hot loops)."""
         raise NotImplementedError
 
     def min_compatible_size(self, size, threshold: float):
@@ -437,9 +438,6 @@ class JaccardMeasure(Measure):
     def size_compatible(self, first_sizes, second_sizes, threshold):
         return (second_sizes >= threshold * first_sizes) & (first_sizes >= threshold * second_sizes)
 
-    def size_compatible_one(self, size_first, size_second, threshold):
-        return size_second >= threshold * size_first and size_first >= threshold * size_second
-
     def _min_compatible_raw(self, size, threshold):
         return threshold * size
 
@@ -484,10 +482,6 @@ class CosineMeasure(Measure):
         bound = threshold * threshold
         return (second_sizes >= bound * first_sizes) & (first_sizes >= bound * second_sizes)
 
-    def size_compatible_one(self, size_first, size_second, threshold):
-        bound = threshold * threshold
-        return size_second >= bound * size_first and size_first >= bound * size_second
-
     def _min_compatible_raw(self, size, threshold):
         return threshold * threshold * size
 
@@ -519,13 +513,6 @@ class DiceMeasure(Measure):
         factor = 2.0 - threshold
         return (factor * second_sizes >= threshold * first_sizes) & (
             factor * first_sizes >= threshold * second_sizes
-        )
-
-    def size_compatible_one(self, size_first, size_second, threshold):
-        factor = 2.0 - threshold
-        return (
-            factor * size_second >= threshold * size_first
-            and factor * size_first >= threshold * size_second
         )
 
     def _min_compatible_raw(self, size, threshold):
@@ -562,9 +549,6 @@ class OverlapCoefficientMeasure(Measure):
     def size_compatible(self, first_sizes, second_sizes, threshold):
         return np.ones(np.broadcast(np.asarray(first_sizes), np.asarray(second_sizes)).shape, dtype=bool)
 
-    def size_compatible_one(self, size_first, size_second, threshold):
-        return True
-
     def _min_compatible_raw(self, size, threshold):
         return 0.0
 
@@ -593,9 +577,6 @@ class BraunBlanquetMeasure(Measure):
     def size_compatible(self, first_sizes, second_sizes, threshold):
         # min ≥ λ·max — the same mask as Jaccard.
         return (second_sizes >= threshold * first_sizes) & (first_sizes >= threshold * second_sizes)
-
-    def size_compatible_one(self, size_first, size_second, threshold):
-        return size_second >= threshold * size_first and size_first >= threshold * size_second
 
     def _min_compatible_raw(self, size, threshold):
         return threshold * size

@@ -54,7 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.base import Record
-from repro.hashing.minhash import MinHasher
+from repro.hashing.minhash import MinHasher, check_hash_keys
 from repro.hashing.sketch import build_sketches
 from repro.result import Timer
 
@@ -304,11 +304,12 @@ class RecordStore:
         """Build a store from already normalized (sorted, distinct) records."""
         offsets = np.zeros(len(normalized) + 1, dtype=np.int64)
         np.cumsum([len(record) for record in normalized], out=offsets[1:])
-        values = np.fromiter(
-            (token for record in normalized for token in record),
-            dtype=np.int64,
-            count=int(offsets[-1]),
-        )
+        tokens = (token for record in normalized for token in record)
+        try:
+            values = np.fromiter(tokens, dtype=np.int64, count=int(offsets[-1]))
+        except OverflowError:  # a token beyond int64: the range check names it
+            values = np.array([token for record in normalized for token in record], dtype=object)
+        check_hash_keys(values, offsets)
         with Timer() as timer:
             minhasher = MinHasher(num_functions=embedding_size, seed=seed)
             signatures = minhasher.signatures(normalized)

@@ -9,12 +9,12 @@ optimization of the execution layer:
 * **Production agrees with the scalar oracles**: for every randomized
   algorithm (CPSJOIN, MinHash LSH, BayesLSH) the production run's verified
   pairs — and its candidate statistics — equal those of the same join routed
-  through the scalar references of ``tests/oracles`` (per-pair merge
-  verification and row-walk filtering; for CPSJOIN also the depth-first
+  through the scalar references of ``tests/oracles`` (pair-by-pair row-walk
+  filtering and per-pair merge verification; for CPSJOIN also the depth-first
   recursion; for MinHash LSH dict bucketing; for BayesLSH the word-by-word
   posterior check) at seed parity.  Degenerate collections — single-token
-  records, all-identical records above the block-kernel row limit, heavy
-  duplicates on both sides of an R ⋈ S join — get their own cases.
+  records, all-identical records in one root subset, heavy duplicates on
+  both sides of an R ⋈ S join — get their own cases.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from oracles.bayeslsh import scalar_filter_pairs
 
 from repro.approximate.bayeslsh import BayesianFilterStage, BayesLSHJoin
 from repro.approximate.minhash_lsh import MinHashLSHJoin
-from repro.backend import ExecutionBackend
 from repro.core.config import CPSJoinConfig
 from repro.core.cpsjoin import cpsjoin
 from repro.exact.allpairs import all_pairs_join
@@ -155,12 +154,11 @@ class TestDegenerateInputs:
         records = [(token % 7,) for token in range(60)]
         _assert_matches_oracle(lambda: similarity_join(records, 0.5, algorithm=algorithm, seed=2))
 
-    def test_identical_records_above_block_row_limit(self) -> None:
+    def test_identical_records_in_one_root_subset(self) -> None:
         # 600 copies of one record at limit=1000: the root subproblem is
-        # brute-forced whole, above BLOCK_ROW_LIMIT, so production takes the
-        # row-walk filter without any monkeypatching.
+        # brute-forced whole, one task of 179,700 pairs that the engine
+        # filters in several chunks and every pair of which survives.
         count = 600
-        assert count > ExecutionBackend.BLOCK_ROW_LIMIT
         records = [(1, 2, 3, 4, 5)] * count
         config = CPSJoinConfig(seed=4, repetitions=1, limit=1000, executor="serial")
         production = cpsjoin(records, 0.8, config)

@@ -1,8 +1,8 @@
 """Unit tests for the execution-backend kernels.
 
-The backend's vectorized kernels (packed-token verification, block
-all-pairs, grouped pair verification) are checked directly against the
-scalar oracle backend of ``tests/oracles`` on randomized inputs.
+The backend's segmented kernels (row expansion, filter, packed-key
+verification) are checked directly against the scalar oracle backend of
+``tests/oracles`` on randomized inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from oracles import ScalarBackend
 
 from repro.backend import ExecutionBackend, check_backend, make_backend
 from repro.core.preprocess import preprocess_collection
-from repro.similarity.measures import jaccard_similarity
+from repro.engine import SubsetCandidates
+from repro.engine.engine import row_chunks, task_rows
+from repro.result import canonical_pair
+from repro.similarity.measures import get_measure, jaccard_similarity
 from repro.similarity.verify import verify_pair_sorted
 
 
@@ -67,21 +70,22 @@ class TestPackedTokens:
             assert bigints[index] == expected
 
 
+def _random_pairs(collection, rng, count):
+    firsts = rng.integers(0, collection.num_records, size=count)
+    offsets = 1 + rng.integers(0, collection.num_records - 1, size=count)
+    return firsts.astype(np.intp), ((firsts + offsets) % collection.num_records).astype(np.intp)
+
+
 class TestVerifyKernels:
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7, 0.9])
-    def test_verify_one_to_many_matches_reference(self, collection, threshold) -> None:
+    def test_verify_pairs_matches_reference(self, collection, threshold) -> None:
         scalar_backend = ScalarBackend(collection, threshold)
         numpy_backend = ExecutionBackend(collection, threshold)
         rng = np.random.default_rng(11)
         for _ in range(25):
-            record_id = int(rng.integers(0, collection.num_records))
-            count = int(rng.integers(1, 40))
-            others = rng.choice(collection.num_records, size=count, replace=False)
-            others = others[others != record_id]
-            if others.size == 0:
-                continue
-            expected = scalar_backend.verify_one_to_many(record_id, others)
-            actual = numpy_backend.verify_one_to_many(record_id, others)
+            firsts, seconds = _random_pairs(collection, rng, int(rng.integers(1, 40)))
+            expected = scalar_backend.verify_pairs(firsts, seconds)
+            actual = numpy_backend.verify_pairs(firsts, seconds)
             np.testing.assert_array_equal(actual, expected)
 
     def test_verify_agrees_with_true_jaccard(self, collection) -> None:
@@ -89,15 +93,15 @@ class TestVerifyKernels:
         rng = np.random.default_rng(13)
         for _ in range(50):
             first, second = rng.choice(collection.num_records, size=2, replace=False)
-            mask = backend.verify_one_to_many(int(first), np.array([int(second)]))
+            mask = backend.verify_pairs(np.array([first]), np.array([second]))
             truth = jaccard_similarity(collection.records[first], collection.records[second]) >= 0.5
             assert bool(mask[0]) == truth
 
-    def test_verify_pairs_grouping(self, collection) -> None:
+    def test_verify_pairs_in_any_order(self, collection) -> None:
+        # Unsorted firsts with repeats on both sides: the packed keys are
+        # per pair, so no grouping by record is needed.
         backend = ExecutionBackend(collection, 0.4)
-        rng = np.random.default_rng(17)
-        firsts = rng.integers(0, collection.num_records, size=200)
-        seconds = (firsts + 1 + rng.integers(0, collection.num_records - 1, size=200)) % collection.num_records
+        firsts, seconds = _random_pairs(collection, np.random.default_rng(17), 200)
         mask = backend.verify_pairs(firsts, seconds)
         for first, second, accepted in zip(firsts, seconds, mask):
             expected, _ = verify_pair_sorted(
@@ -105,37 +109,79 @@ class TestVerifyKernels:
             )
             assert bool(accepted) == expected
 
+    def test_verify_pairs_of_identical_records(self, collection) -> None:
+        backend = ExecutionBackend(collection, 1.0)
+        ids = np.arange(10, dtype=np.intp)
+        assert backend.verify_pairs(ids, ids).all()
+        assert backend.verify_pairs(ids[:0], ids[:0]).size == 0
 
-class TestAllPairsKernels:
+    @pytest.mark.parametrize("name", ["jaccard", "cosine", "dice", "braun_blanquet"])
+    def test_weighted_accept_masks_match_per_pair_oracle(self, name) -> None:
+        # Non-dyadic weights: their sums depend on the summation order, so
+        # only a kernel summing each pair's matched weights in token order,
+        # like the scalar merge, matches the oracle's masks.
+        rng = np.random.default_rng(23)
+        records = [
+            tuple(sorted(rng.choice(14, size=int(rng.integers(4, 10)), replace=False).tolist()))
+            for _ in range(80)
+        ]
+        weights = {token: 0.1 + float(rng.random()) * 2.9 for token in range(0, 14, 2)}
+        collection = preprocess_collection(records, seed=3)
+        measure = get_measure(name, weights=weights)
+        firsts, seconds = np.triu_indices(len(records), k=1)
+        for threshold in (0.3, 0.5, 0.7):
+            scalar = ScalarBackend(collection, threshold, measure).verify_pairs(firsts, seconds)
+            actual = ExecutionBackend(collection, threshold, measure).verify_pairs(firsts, seconds)
+            np.testing.assert_array_equal(actual, scalar)
+            assert 0 < scalar.sum() < scalar.size
+
+
+def _all_pairs(backend, subset, use_sketches, cutoff, budget=None):
+    """Filter and verify every pair within ``subset`` through the row kernels."""
+    ids, anchors, starts, lengths = task_rows([SubsetCandidates(tuple(subset))])
+    chunks = row_chunks(lengths, budget) if budget else [slice(None)]
+    pre_candidates, verified, accepted = 0, 0, set()
+    for rows in chunks:
+        pre, firsts, seconds = backend.filter_rows(
+            ids, anchors[rows], starts[rows], lengths[rows], use_sketches, cutoff
+        )
+        mask = backend.verify_pairs(firsts, seconds)
+        pre_candidates += pre
+        verified += int(firsts.size)
+        accepted |= {canonical_pair(int(a), int(b)) for a, b in zip(firsts[mask], seconds[mask])}
+    return pre_candidates, verified, accepted
+
+
+class TestRowKernels:
     @pytest.mark.parametrize("use_sketches", [True, False])
     @pytest.mark.parametrize("subset_size", [2, 3, 7, 12, 13, 40, 120])
     # 0.0 is an estimate random pairs reach exactly (distance num_bits / 2),
     # so it pins the ">= cut-off" comparison at the boundary.
     @pytest.mark.parametrize("cutoff", [0.3, 0.0])
     def test_all_pairs_matches_reference(self, collection, use_sketches, subset_size, cutoff) -> None:
-        # Sizes straddle SMALL_ROW_LIMIT (12) to cover the scalar fast path,
-        # the block kernel, and the boundary between them.
         threshold = 0.5
         scalar_backend = ScalarBackend(collection, threshold)
         numpy_backend = ExecutionBackend(collection, threshold)
         rng = np.random.default_rng(subset_size)
         subset = rng.choice(collection.num_records, size=subset_size, replace=False).tolist()
-        expected = scalar_backend.all_pairs(subset, use_sketches, cutoff)
-        actual = numpy_backend.all_pairs(subset, use_sketches, cutoff)
+        expected = _all_pairs(scalar_backend, subset, use_sketches, cutoff)
+        actual = _all_pairs(numpy_backend, subset, use_sketches, cutoff)
         assert actual == expected  # (pre_candidates, verified, accepted pairs)
 
-    def test_block_fallback_above_row_limit(self, collection, monkeypatch) -> None:
-        monkeypatch.setattr(ExecutionBackend, "BLOCK_ROW_LIMIT", 16)
+    @pytest.mark.parametrize("budget", [1, 16, 100])
+    def test_chunked_rows_match_reference(self, collection, budget) -> None:
         threshold = 0.5
         scalar_backend = ScalarBackend(collection, threshold)
         numpy_backend = ExecutionBackend(collection, threshold)
         subset = list(range(30))
-        assert numpy_backend.all_pairs(subset, True, 0.3) == scalar_backend.all_pairs(subset, True, 0.3)
+        expected = _all_pairs(scalar_backend, subset, True, 0.3)
+        assert _all_pairs(numpy_backend, subset, True, 0.3, budget) == expected
+        assert expected[0] == 30 * 29 // 2
 
     def test_trivial_subsets(self, collection) -> None:
         backend = ExecutionBackend(collection, 0.5)
-        assert backend.all_pairs([], True, 0.3) == (0, 0, set())
-        assert backend.all_pairs([4], True, 0.3) == (0, 0, set())
+        assert _all_pairs(backend, [], True, 0.3) == (0, 0, set())
+        assert _all_pairs(backend, [4], True, 0.3) == (0, 0, set())
 
 
 class TestGroupRowsFirstOccurrence:

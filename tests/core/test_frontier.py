@@ -188,7 +188,6 @@ class TestIndividualDepths:
 
         config = CPSJoinConfig(seed=3)
         join = CPSJoin(0.5, config)
-        stats = JoinStats()
         engine = JoinEngine(walk_collection, 0.5, measure=join.measure)
 
         # Two estimators with identically-seeded generators: the sampled
@@ -198,7 +197,6 @@ class TestIndividualDepths:
             return BruteForcer(
                 walk_collection,
                 join.embedded_threshold,
-                stats,
                 rng=np.random.default_rng(99),
                 backend=engine.backend,
             )

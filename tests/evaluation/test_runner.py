@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import CPSJoinConfig
+from repro.core.preprocess import PreprocessedCollection
 from repro.datasets.base import Dataset
 from repro.evaluation.runner import ExperimentRunner
 
@@ -68,6 +69,30 @@ class TestExperimentRunner:
         first = runner.preprocessed(small_dataset, config)
         second = runner.preprocessed(small_dataset, config)
         assert first is second
+
+    def test_cpsjoin_timed_repetitions_build_no_artefacts(self, small_dataset, monkeypatch) -> None:
+        # preprocessed() builds CPSJOIN's lazy per-collection artefacts, so
+        # none is built inside a timed repetition.
+        runner = ExperimentRunner(target_recall=0.9, seed=2)
+        config = CPSJoinConfig(limit=10)  # small enough for the estimator to run
+        runner.preprocessed(small_dataset, config.with_seed(runner.seed))
+        cold = {
+            "signature_rank_matrix": lambda collection: collection._signature_ranks is None,
+            "sketch_bit_matrix": lambda collection: not collection._sketch_bits_built,
+        }
+        built = []
+        for name, is_cold in cold.items():
+            original = getattr(PreprocessedCollection, name)
+
+            def counting(collection, _original=original, _name=name, _is_cold=is_cold):
+                if _is_cold(collection):
+                    built.append(_name)
+                return _original(collection)
+
+            monkeypatch.setattr(PreprocessedCollection, name, counting)
+        measurement = runner.run_cpsjoin(small_dataset, 0.5, config)
+        assert measurement.recall >= 0.9
+        assert built == []
 
     def test_measurement_row_format(self, small_dataset) -> None:
         runner = ExperimentRunner(seed=8)

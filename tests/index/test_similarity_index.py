@@ -259,6 +259,21 @@ class TestBlockInserts:
         assert index.insert((1, 2, 3)) == 1
         assert index.query((1, 2, 3)) == [(1, 1.0)]
 
+    @pytest.mark.parametrize(
+        "mode, use_sketches", [("lsh", False), ("chosenpath", False), ("exact", True)]
+    )
+    def test_query_batch_checks_every_query_first(self, mode, use_sketches) -> None:
+        index = SimilarityIndex.build(
+            [(1, 2, 3), (4, 5, 6)], 0.5, candidates=mode, use_sketches=use_sketches, seed=1
+        )
+        with pytest.raises(ValueError, match=r"query 1 has token 1099511627776, outside \[0, 2\*\*32\)"):
+            index.query_batch([(1, 2, 3), (1, 2, 2**40)])
+        assert index.stats.pre_candidates == 0  # the good query 0 was not answered either
+
+    def test_exact_index_without_sketches_queries_64_bit_tokens(self) -> None:
+        index = SimilarityIndex.build([(1, 2, 2**40), (-7, 3)], 0.5)
+        assert index.query_batch([(1, 2, 2**40)]) == [[(0, 1.0)]]
+
     @pytest.mark.parametrize("mode", MODES)
     def test_build_reports_one_build_not_many_inserts(self, random_records, mode) -> None:
         spans = []

@@ -5,8 +5,8 @@ straightforward scalar versions they replaced live here, used only as test
 oracles:
 
 * :mod:`oracles.backend` — :class:`~oracles.backend.ScalarBackend`, the
-  execution backend with per-pair merge verification and the row-walk
-  all-pairs filter at every subset size;
+  execution backend whose filter walks the engine's rows pair by pair on
+  big-integer sketches and whose verify merges one pair at a time;
 * :mod:`oracles.walk` — :func:`~oracles.walk.recursive_tasks`, the
   depth-first Chosen Path recursion the array frontier must reproduce task
   for task;

@@ -243,6 +243,57 @@ class _GatedIndex(_SlowIndex):
         return self._inner.query_batch(records)
 
 
+class TestUnhashableQueries:
+    def test_bad_query_fails_alone_not_its_coalesced_batch(self) -> None:
+        # An lsh index hashes 32-bit keys.  Query 0 holds the engine; the bad
+        # query 1 and the good query 2 arrive meanwhile and would coalesce
+        # into one batch.  The bad one must get its own error before it
+        # joins the batch, and the good one its offline answer.
+        offline = make_index(candidates="lsh")
+        good = list(BASE_RECORDS[1])
+        gate = threading.Event()
+        server = SimilarityServer(
+            index_factory=lambda: _GatedIndex(make_index(candidates="lsh"), gate)
+        )
+        handle = serve_in_thread(server)
+        try:
+            sock = socket.create_connection(handle.address, timeout=30.0)
+            try:
+                reader = sock.makefile("rb")
+
+                def send(request_id, record):
+                    request = {"id": request_id, "op": "query", "record": record}
+                    sock.sendall((json.dumps(request) + "\n").encode())
+
+                send(0, list(BASE_RECORDS[0]))
+                deadline = time.monotonic() + 10.0
+                while server._coalescer.counters["queries"] < 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                send(1, [1, 2, 2**40])
+                send(2, good)
+                # Release the engine only once query 2 waits behind it.
+                while not any(entry[0] == tuple(good) for entry in list(server._coalescer._pending)):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                gate.set()
+                responses = {}
+                for _ in range(3):
+                    response = json.loads(reader.readline())
+                    responses[response["id"]] = response
+            finally:
+                sock.close()
+        finally:
+            gate.set()
+            handle.stop()
+        for request_id, record in ((0, BASE_RECORDS[0]), (2, good)):
+            assert responses[request_id]["ok"], responses[request_id]
+            matches = [(int(i), float(s)) for i, s in responses[request_id]["result"]["matches"]]
+            assert matches == offline.query_batch([record])[0]
+        assert not responses[1]["ok"]
+        assert "query 0 has token 1099511627776, outside [0, 2**32)" in responses[1]["error"]
+
+
 class TestOverloadPolicy:
     def test_flood_beyond_capacity_sheds_busy_admitted_answers_exact(self) -> None:
         # Capacity 1 in flight + 1 queued, every batch pinned for 150 ms:

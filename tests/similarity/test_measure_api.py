@@ -100,7 +100,7 @@ class TestScoresAndBounds:
                 for threshold in (0.4, 0.7):
                     best = measure.similarity_from_overlap(size_first, size_second, overlap)
                     if best >= threshold:
-                        assert measure.size_compatible_one(size_first, size_second, threshold)
+                        assert measure.size_compatible(size_first, size_second, threshold)
 
 
 class TestJaccardFloor:

@@ -117,6 +117,17 @@ class TestBadValuesExitTwo:
         assert "Traceback" not in completed.stderr
         assert "repro-join: error: " in completed.stderr
 
+    @pytest.mark.parametrize("algorithm", ["cpsjoin", "minhash"])
+    def test_join_with_unhashable_token(self, tmp_path, algorithm) -> None:
+        path = tmp_path / "big.txt"
+        path.write_text("1 2 3\n1 2 4294967296\n")
+        completed = run_cli("join", str(path), "--algorithm", algorithm)
+        assert completed.returncode == 2, completed.stderr
+        assert "Traceback" not in completed.stderr
+        errors = [line for line in completed.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "record 1 has token 4294967296, outside [0, 2**32)" in errors[0]
+
     @pytest.mark.parametrize(
         "argv",
         [

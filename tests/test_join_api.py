@@ -68,6 +68,22 @@ class TestSimilarityJoin:
         with pytest.raises(ValueError, match="right record 1 is empty"):
             similarity_join_rs([[1, 2]], [[3, 4], []], 0.5, algorithm=algorithm, seed=0)
 
+    @pytest.mark.parametrize("algorithm", ["cpsjoin", "minhash", "bayeslsh"])
+    @pytest.mark.parametrize("token", [2**32, -3, 2**70])
+    def test_unhashable_token_rejected_by_hashing_joins(self, algorithm, token) -> None:
+        # MinHash and the sketches hash 32-bit keys: refused before hashing,
+        # naming the record and the token, never an untyped OverflowError.
+        message = rf"record 1 has token {token}, outside \[0, 2\*\*32\)"
+        with pytest.raises(ValueError, match=message):
+            similarity_join([(1, 2, 3), (1, 2, token)], 0.5, algorithm=algorithm, seed=0)
+        with pytest.raises(ValueError, match=message):
+            similarity_join_rs([(1, 2, 3)], [(1, 2, token)], 0.5, algorithm=algorithm, seed=0)
+
+    @pytest.mark.parametrize("algorithm", ["allpairs", "ppjoin", "naive"])
+    def test_exact_joins_take_64_bit_tokens(self, algorithm) -> None:
+        records = [(1, 2, 2**40), (1, 2, 2**40), (-5, 3)]
+        assert similarity_join(records, 0.5, algorithm=algorithm).pairs == {(0, 1)}
+
     def test_exact_and_approximate_consistent(self, uniform_dataset) -> None:
         records = uniform_dataset.records[:200]
         exact = similarity_join(records, 0.6, algorithm="allpairs")
