@@ -27,6 +27,10 @@ whole flush of tasks, never one task or one record.
   Preprocessing refuses tokens outside ``[0, 2**32)``
   (:func:`repro.hashing.minhash.check_hash_keys`), so the packed key is
   exact.
+* **Estimate** (:meth:`ExecutionBackend.average_similarity_sampled`).  The
+  adaptive rule's sampled average similarity, from a ``(256, 8ℓ)`` int32
+  table of per-byte Hamming-distance totals looked up over the subset's
+  packed sketch bytes: integers only, no float copy and no BLAS call.
 
 A pair is accepted if and only if its true similarity meets the threshold,
 decided with the measure's integer overlap bound
@@ -42,12 +46,16 @@ from typing import ClassVar, List, Tuple
 import numpy as np
 
 from repro.core.preprocess import PreprocessedCollection
-from repro.hashing.sketch import popcount_rows, word_popcounts
+from repro.hashing.sketch import word_popcounts
 from repro.similarity.measures import Measure, get_measure
 
 __all__ = ["ExecutionBackend", "expand_rows"]
 
 Pairs = Tuple[int, np.ndarray, np.ndarray]
+
+ESTIMATOR_BLOCK_ROWS = 1 << 10
+"""Subset records per table lookup of the sampled estimator: its keys and
+looked-up values stay under 1 MiB (``ℓ = 8``) whatever the subset size."""
 
 
 def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -125,11 +133,14 @@ class ExecutionBackend:
         # pre_candidates / candidates / verified only ever count cross-side
         # work and same-side candidates never reach verification.
         self.sides = collection.sides
-        # Lazily built unpacked sketch-bit matrix for the sampled
-        # average-similarity estimator (see average_similarity_sampled).
-        self._sketch_bits: "np.ndarray | None" = None
-        self._sketch_bytes: "np.ndarray | None" = None
-        self._sketch_bits_built = False
+        # The sampled estimator reads each sketch as its 8ℓ bytes (a view,
+        # no copy): byte k of value v looks up flat entry v · 8ℓ + k of its
+        # table, a key in the narrowest unsigned type that holds them all
+        # (uint16 up to ℓ = 32), which numpy gathers faster than int64 keys.
+        self._sketch_row_bytes = np.ascontiguousarray(collection.sketches.words).view(np.uint8)
+        num_bytes = self._sketch_row_bytes.shape[1]
+        self._key_dtype = np.min_scalar_type(256 * num_bytes - 1)
+        self._byte_positions = np.arange(num_bytes, dtype=self._key_dtype)
 
     # ------------------------------------------------------------------ filtering
     def _max_sketch_distance(self, sketch_cutoff: float) -> int:
@@ -263,25 +274,6 @@ class ExecutionBackend:
             averages += (counts[inverse] - 1) / num_functions
         return averages / (num_records - 1)
 
-    def _sketch_bits_matrix(self) -> "np.ndarray | None":
-        """Per-record sketch bits as a float32 (n, num_bits) matrix (or None).
-
-        Cached on the collection (shared by every repetition's backend); the
-        matvec identity below turns the per-node estimator of the adaptive
-        rule from ``m`` XOR/popcount passes over the subset words into a
-        single BLAS pass over the subset bits.  Collections whose bit matrix
-        would exceed the collection's memory budget fall back to the word
-        loop (None).
-        """
-        if not self._sketch_bits_built:
-            self._sketch_bits_built = True
-            self._sketch_bits = self.collection.sketch_bit_matrix()
-            if self._sketch_bits is not None:
-                self._sketch_bytes = np.ascontiguousarray(
-                    self.collection.sketches.words
-                ).view(np.uint8)
-        return self._sketch_bits
-
     def average_similarity_sampled(
         self, subset: List[int], sample_size: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -292,16 +284,18 @@ class ExecutionBackend:
 
         ``Σ_s popcount(x ^ s) = Σ_b c_b + Σ_{b : x_b = 1} (m - 2 c_b)``
 
-        with ``c_b`` the number of sampled sketches with bit ``b`` set.  The
-        second term is a dot product of the record's unpacked bits against a
-        per-bit weight vector, so the whole subset reduces to one matrix ×
-        vector product over the cached bit matrix.  All intermediate values
-        are small integers (≤ ``m · num_bits``), exactly representable in
-        float32, so the totals — and therefore the returned averages — are
-        bit-for-bit identical to the XOR/popcount word loop used as the
-        large-collection fallback.
+        with ``c_b`` the number of sampled sketches with bit ``b`` set.  Both
+        sums split over the sketch's 8ℓ bytes: the int32 table
+        ``T[v, k] = Σ_{j < 8} c_{8k+j} + Σ_{bit j of v} (m - 2 c_{8k+j})``,
+        built with 8 doubling adds, holds byte ``k``'s share of the total
+        for every byte value ``v``, and a record's total is
+        ``Σ_k T[byte_k(x), k]`` — one ``take`` of the flat keys
+        ``byte_k(x) · 8ℓ + k`` (uint16 up to ``ℓ = 32``) over the subset's
+        packed sketch bytes, :data:`ESTIMATOR_BLOCK_ROWS` records at a time.  Every
+        value is an exact integer below ``m · 64ℓ`` — no float copy of the
+        sketches and no BLAS call — so the averages equal the XOR/popcount
+        definition bit for bit.
         """
-        sketches = self.collection.sketches
         subset_array = np.asarray(subset, dtype=np.intp)
         sample_count = min(sample_size, len(subset))
         # Sampling positions (not record ids) draws the identical sample —
@@ -311,36 +305,26 @@ class ExecutionBackend:
         positions = rng.choice(len(subset_array), size=sample_count, replace=False)
         sample = subset_array[positions]
 
-        bits = self._sketch_bits_matrix()
-        if bits is not None:
-            # Gather the packed sample bytes (ℓ·8 per sketch, 32× less
-            # traffic than the float32 rows) and count column bits there.
-            sample_bits = np.unpackbits(self._sketch_bytes[sample], axis=1)
-            column_counts = sample_bits.sum(axis=0, dtype=np.int64)  # c_b
-            weights = (sample_count - 2.0 * column_counts).astype(np.float32)
-            if subset_array.size * 4 >= bits.shape[0]:
-                # Near-root subproblems: one gemv over the whole matrix beats
-                # gathering most of its rows first.  Identical totals either
-                # way — every row dot is the same exact small-integer sum.
-                totals = (bits @ weights)[subset_array]
-            else:
-                # Gather the packed bytes (ℓ·8 per record) and unpack just the
-                # subset — 32× less random-access traffic than gathering the
-                # float32 rows, for the same exact bit values.
-                subset_bits = np.unpackbits(self._sketch_bytes[subset_array], axis=1)
-                totals = subset_bits.astype(np.float32) @ weights  # exact: sums ≤ m·num_bits < 2^24
-            totals = totals.astype(np.float64) + float(column_counts.sum(dtype=np.float64))
-        else:
-            subset_words = sketches.words[subset_array]  # (|S|, ℓ)
-            sample_words = sketches.words[sample]  # (m, ℓ)
-            # Iterating over the (at most ``sample_size``) sampled sketches
-            # keeps the temporaries at |S| × ℓ words instead of materializing
-            # the full |S| × m × ℓ broadcast.
-            totals = np.zeros(len(subset), dtype=np.int64)
-            for sample_row in sample_words:
-                totals += popcount_rows(subset_words ^ sample_row)
-            totals = totals.astype(np.float64)
-        averages = 1.0 - 2.0 * totals / (sample_count * sketches.num_bits)
+        row_bytes = self._sketch_row_bytes
+        num_bytes = row_bytes.shape[1]
+        sample_bits = np.unpackbits(row_bytes[sample], axis=1, bitorder="little")
+        # counts[j, k] = c_{8k+j}: how many samples set bit j of byte k.
+        counts = sample_bits.sum(axis=0, dtype=np.int32).reshape(num_bytes, 8).T
+        weights = sample_count - 2 * counts
+        table = np.empty((256, num_bytes), dtype=np.int32)
+        counts.sum(axis=0, out=table[0])
+        for bit in range(8):
+            width = 1 << bit
+            np.add(table[:width], weights[bit], out=table[width : 2 * width])
+        totals = np.empty(subset_array.size, dtype=np.int32)
+        for start in range(0, subset_array.size, ESTIMATOR_BLOCK_ROWS):
+            block = slice(start, start + ESTIMATOR_BLOCK_ROWS)
+            keys = np.multiply(row_bytes[subset_array[block]], num_bytes, dtype=self._key_dtype)
+            keys += self._byte_positions
+            # Every key is in range, so "wrap" never wraps; numpy gathers
+            # faster in that mode than in its default "raise".
+            np.take(table, keys, mode="wrap").sum(axis=1, dtype=np.int32, out=totals[block])
+        averages = 1.0 - 2.0 * totals / (sample_count * self.collection.sketches.num_bits)
 
         # A sampled record sees itself in its own sample; remove the
         # (similarity = 1) self term from its mean.

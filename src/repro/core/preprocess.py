@@ -19,6 +19,14 @@ code paths want (record tuples, big-integer sketches) but owns no data of
 its own, so handing a collection to the process executor ships only the
 store's tiny :class:`repro.store.StoreHandle` — never pickled record
 objects.
+
+Every kernel of the preprocessing works in blocks whose temporaries do not
+grow with the collection: signatures are tabulated
+:data:`~repro.hashing.minhash.SIGNATURE_BLOCK_TOKENS` tokens at a time,
+sketches packed :data:`~repro.hashing.sketch.SKETCH_BLOCK_ROWS` rows at a
+time and the rank matrix built :data:`RANK_BLOCK_COLUMNS` columns at a time.
+Peak memory is therefore the kept arrays plus a few MiB of block
+temporaries.
 """
 
 from __future__ import annotations
@@ -33,7 +41,10 @@ from repro.hashing.sketch import OneBitMinHashSketches
 from repro.store import RecordStore, SharedStoreLease
 from repro.store.record_store import normalize_records, validate_sides
 
-__all__ = ["PreprocessedCollection", "preprocess_collection"]
+__all__ = ["PreprocessedCollection", "RANK_BLOCK_COLUMNS", "preprocess_collection"]
+
+RANK_BLOCK_COLUMNS = 8
+"""Signature columns ranked per pass of :meth:`PreprocessedCollection.signature_rank_matrix`."""
 
 
 class PreprocessedCollection:
@@ -131,12 +142,11 @@ class PreprocessedCollection:
     def sketch_bigints(self) -> List[int]:
         """Each record's 1-bit sketch as one Python integer, built lazily.
 
-        No join uses it: the scalar reference backend of the test suite
-        compares sketches with ``int.bit_count()`` on these integers, and
-        the benchmark (``perfbench``) builds them during its set-up.
-        Cached per process.  Concurrent first calls from several threads
-        are a benign race: both compute the same list and the last
-        assignment wins.
+        No join reads it: the test suite's scalar oracles compare sketches
+        with ``int.bit_count()`` on these integers, and the benchmark
+        (``perfbench``) builds them during its set-up.  Cached per process.
+        Concurrent first calls from several threads are a benign race: both
+        compute the same list and the last assignment wins.
         """
         if self._sketch_bigints is None:
             words = np.ascontiguousarray(self.store.sketch_words)
@@ -156,18 +166,27 @@ class PreprocessedCollection:
         equal MinHash values, so grouping by rank partitions a subproblem
         exactly like grouping by value.  The frontier candidate walk packs
         ``(node-slot, rank)`` into one small integer sort key per row, which
-        is cheaper than lexsorting the raw 64-bit values; built once per
+        is cheaper than lexsorting the raw 64-bit values.  Ranked
+        :data:`RANK_BLOCK_COLUMNS` columns at a time, each block copied to
+        contiguous rows first, with int32 group counters, so the
+        temporaries stay a small fraction of the result.  Built once per
         collection (same benign first-call race as :meth:`sketch_bigints`).
         """
         if self._signature_ranks is None:
             matrix = self.signatures.matrix
-            order = np.argsort(matrix, axis=0, kind="stable")
-            sorted_values = np.take_along_axis(matrix, order, axis=0)
-            new_group = np.ones_like(sorted_values, dtype=np.int64)
-            new_group[1:] = sorted_values[1:] != sorted_values[:-1]
-            dense = np.cumsum(new_group, axis=0) - 1
             ranks = np.empty(matrix.shape, dtype=np.int32)
-            np.put_along_axis(ranks, order, dense.astype(np.int32), axis=0)
+            for start in range(0, matrix.shape[1], RANK_BLOCK_COLUMNS):
+                columns = slice(start, start + RANK_BLOCK_COLUMNS)
+                block = np.ascontiguousarray(matrix[:, columns].T)
+                # Equal values share a rank whatever their order: no stable sort needed.
+                order = np.argsort(block, axis=1)
+                sorted_values = np.take_along_axis(block, order, axis=1)
+                dense = np.zeros(sorted_values.shape, dtype=np.int32)
+                np.not_equal(sorted_values[:, 1:], sorted_values[:, :-1], out=dense[:, 1:])
+                np.cumsum(dense, axis=1, out=dense)
+                block_ranks = np.empty_like(dense)
+                np.put_along_axis(block_ranks, order, dense, axis=1)
+                ranks[:, columns] = block_ranks.T
             self._signature_ranks = ranks
         return self._signature_ranks
 
@@ -177,12 +196,12 @@ class PreprocessedCollection:
     def sketch_bit_matrix(self) -> Optional[np.ndarray]:
         """Sketch bits unpacked to a float32 ``(n, num_bits)`` matrix, cached.
 
-        Backs the matvec form of the sampled average-similarity estimator
-        (see :meth:`repro.backend.ExecutionBackend.average_similarity_sampled`).
-        Cached here — not on the per-repetition backend — so all repetitions
-        of a join share one unpacking pass.  Returns ``None`` for collections
-        whose matrix would exceed the budget (callers fall back to the packed
-        word loop); the benign concurrent-first-call race matches
+        No join reads it: the sampled average-similarity estimator works on
+        the packed sketch bytes with integer tables (see
+        :meth:`repro.backend.ExecutionBackend.average_similarity_sampled`).
+        It is kept for the benchmark's set-up, which still builds it.
+        Returns ``None`` for collections whose matrix would exceed the
+        budget; the benign concurrent-first-call race matches
         :meth:`sketch_bigints`.
         """
         if not self._sketch_bits_built:

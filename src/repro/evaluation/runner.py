@@ -95,10 +95,9 @@ class ExperimentRunner:
     def preprocessed(self, dataset: Dataset, config: CPSJoinConfig) -> PreprocessedCollection:
         """Preprocess a dataset once per (embedding size, sketch length).
 
-        The lazily built per-collection artefacts CPSJOIN uses (the
-        signature rank matrix of its tree walk, the sketch bit matrix of its
-        estimator) are built here too, so no algorithm's timed join pays for
-        them — MinHash LSH needs neither.
+        The one lazily built per-collection artefact CPSJOIN uses, the
+        signature rank matrix of its tree walk, is built here too, so no
+        algorithm's timed join pays for it — MinHash LSH does not need it.
         """
         key = (dataset.name, config.embedding_size, config.sketch_words)
         if key not in self._preprocessed:
@@ -109,7 +108,6 @@ class ExperimentRunner:
                 seed=self.seed,
             )
             collection.signature_rank_matrix()
-            collection.sketch_bit_matrix()
             self._preprocessed[key] = collection
         return self._preprocessed[key]
 

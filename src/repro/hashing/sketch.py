@@ -12,9 +12,11 @@ The joins use the estimator as a cheap filter: a candidate pair is discarded
 when ``Ĵ < λ̂`` where ``λ̂`` is chosen (``sketch_similarity_threshold``) so that
 a true positive (``J ≥ λ``) is discarded with probability at most ``δ``.
 
-Sketches are packed into numpy ``uint64`` words; Hamming distances are
-computed with a byte-level popcount table, the pure-Python stand-in for the
-paper's ``_mm_popcnt_u64`` instruction.
+Sketches are packed into numpy ``uint64`` words, :data:`SKETCH_BLOCK_ROWS`
+records at a time: a block's bits are derived as booleans and packed with
+``np.packbits``, so no temporary outgrows the block.  Hamming distances are
+computed with ``np.bitwise_count`` (or a byte-level popcount table on older
+numpy), the stand-in for the paper's ``_mm_popcnt_u64`` instruction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "OneBitMinHashSketches",
+    "SKETCH_BLOCK_ROWS",
     "build_sketches",
     "pack_sketch_rows",
     "sample_sketch_hashers",
@@ -38,6 +41,13 @@ __all__ = [
 ]
 
 _WORD_BITS = 64
+
+SKETCH_BLOCK_ROWS = 1 << 10
+"""Records per block of :func:`pack_sketch_rows`.
+
+A block's bit derivation takes one ``(rows, 64 ℓ)`` uint64 temporary —
+4 MiB at ``ℓ = 8`` — and its booleans, whatever the collection size.
+"""
 
 # Lookup table with the popcount of every byte value; viewing a uint64 array as
 # uint8 and summing table entries gives the total popcount.  Used as the
@@ -185,17 +195,21 @@ def pack_sketch_rows(
 
     Bit ``b`` of a record's sketch is the top bit of
     ``multipliers[b] * signature[coordinates[b]]``; bit ``w*64 + j`` lands in
-    bit ``j`` of word ``w``.
+    bit ``j`` of word ``w``.  Rows are derived :data:`SKETCH_BLOCK_ROWS` at a
+    time and packed little-endian, so bit ``b`` is bit ``b % 8`` of the
+    row's byte ``b // 8``.
     """
     num_records = signature_matrix.shape[0]
-    selected = signature_matrix[:, coordinates]  # (num_records, num_bits)
-    with np.errstate(over="ignore"):
-        mixed = selected * multipliers
-    bits = (mixed >> np.uint64(63)).astype(np.uint64)  # top bit of the product
-    bits = bits.reshape(num_records, num_words, _WORD_BITS)
-    packed = np.zeros((num_records, num_words), dtype=np.uint64)
-    for bit_position in range(_WORD_BITS):
-        packed |= bits[:, :, bit_position] << np.uint64(bit_position)
+    packed = np.empty((num_records, num_words), dtype=np.uint64)
+    top_bit = np.uint64(1 << 63)
+    for start in range(0, num_records, SKETCH_BLOCK_ROWS):
+        block = signature_matrix[start : start + SKETCH_BLOCK_ROWS, coordinates]
+        with np.errstate(over="ignore"):
+            block *= multipliers
+        bits = block >= top_bit  # the top bit of each product, as booleans
+        # Rows hold 64ℓ bits, so packing the flat block keeps rows apart.
+        words = np.packbits(bits, bitorder="little").view("<u8")
+        packed[start : start + block.shape[0]] = words.reshape(block.shape[0], num_words)
     return packed
 
 

@@ -9,7 +9,9 @@ extremely fast in practice.
 
 This module provides both a scalar interface (``TabulationHash.hash_one``) and
 a vectorized numpy interface (``TabulationHash.hash_many``) that hashes whole
-token arrays at once, which is what the MinHash layer uses.
+token arrays at once.  The MinHash layer draws the raw tables of all its
+functions at once (:meth:`TabulationHashFamily.sample_tables`) and evaluates
+them in its own blocked kernel (:meth:`repro.hashing.minhash.MinHasher.signature_matrix`).
 """
 
 from __future__ import annotations
@@ -104,29 +106,3 @@ class TabulationHashFamily:
             0, 2**64, size=(count, _NUM_CHARACTERS, _TABLE_SIZE), dtype=np.uint64
         )
 
-
-def tabulate_many_functions(tables: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Evaluate many tabulation hash functions on many keys at once.
-
-    Parameters
-    ----------
-    tables:
-        Array of shape ``(num_functions, 4, 256)`` as produced by
-        :meth:`TabulationHashFamily.sample_tables`.
-    keys:
-        1-D array of non-negative 32-bit integer keys of length ``num_keys``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(num_functions, num_keys)`` of uint64 hash values.
-    """
-    keys = np.asarray(keys, dtype=np.uint32)
-    num_functions = tables.shape[0]
-    values = np.zeros((num_functions, keys.shape[0]), dtype=np.uint64)
-    for position in range(_NUM_CHARACTERS):
-        characters = (keys >> np.uint32(8 * position)) & np.uint32(0xFF)
-        # tables[:, position, :] has shape (num_functions, 256); fancy-index the
-        # character axis to get (num_functions, num_keys).
-        values ^= tables[:, position, :][:, characters]
-    return values

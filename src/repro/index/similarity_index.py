@@ -40,7 +40,6 @@ from __future__ import annotations
 import pickle
 import struct
 import time
-from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -52,7 +51,7 @@ from repro.backend.kernels import (
     sketch_estimates,
 )
 from repro.datasets.base import Record
-from repro.hashing.minhash import MinHasher, check_hash_keys
+from repro.hashing.minhash import MinHasher, check_hash_keys, pack_tokens
 from repro.hashing.sketch import (
     pack_sketch_rows,
     sample_sketch_hashers,
@@ -420,14 +419,22 @@ class SimilarityIndex:
         first = len(self)
         if not block:
             return first
-        self.check_hash_keys(block, "record")
+        values, offsets = pack_tokens(block)
+        sketches = None
+        if self.use_sketches:
+            # The signature kernel refuses a token it cannot hash, naming its record.
+            sketches = self._sketch_rows(values, offsets)
+        elif self.candidates != "exact":
+            check_hash_keys(values, offsets)
         store = self._store
-        sketches = self._sketch_rows(block) if self.use_sketches else None
         measure_sizes = None
         if store.measure_sizes is not None:
             measure_sizes = [self.measure.record_size(tokens) for tokens in block]
         start = int(store.token_offsets[-1])
-        store.append(block, sketches, measure_sizes)
+        store.append(values, offsets, sketches, measure_sizes)
+        # The store holds the tokens now: free the packed copy before the
+        # postings sort allocates, so a bulk build's peak holds one copy.
+        del values, offsets
         if self._postings is not None:
             self._postings.extend(first, store.token_values[start:], store.sizes[first:])
         else:
@@ -444,16 +451,13 @@ class SimilarityIndex:
         """
         if self.candidates == "exact" and not self.use_sketches:
             return
-        offsets = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum([len(tokens) for tokens in records], out=offsets[1:])
-        values = np.fromiter(chain.from_iterable(records), dtype=np.int64, count=int(offsets[-1]))
-        check_hash_keys(values, offsets, noun)
+        check_hash_keys(*pack_tokens(records), noun)
 
-    def _sketch_rows(self, block: Sequence[Record]) -> np.ndarray:
-        """Sketch words of normalized records, with ``build_sketches``' hashers and packing."""
+    def _sketch_rows(self, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Sketch words of CSR-packed normalized records, with ``build_sketches``' hashers and packing."""
         assert self._minhasher is not None and self._sketch_hashers is not None
         coordinates, multipliers = self._sketch_hashers
-        signatures = self._minhasher.signatures(block).matrix
+        signatures = self._minhasher.signature_matrix(values, offsets)
         return pack_sketch_rows(signatures, coordinates, multipliers, self._store.num_sketch_words)
 
     # ------------------------------------------------------------------ queries
@@ -510,7 +514,7 @@ class SimilarityIndex:
                 if self.use_sketches:
                     # Filter-stage time: the sketches exist only to feed the filter.
                     began = time.perf_counter()
-                    sketches = self._sketch_rows(chunk)
+                    sketches = self._sketch_rows(*pack_tokens(chunk))
                     self.stats.filter_seconds += time.perf_counter() - began
                 for offset, tokens in enumerate(chunk):
                     results.append(

@@ -44,6 +44,7 @@ from repro.datasets.base import Record
 from repro.exact.allpairs import AllPairsJoin
 from repro.exact.naive import naive_join
 from repro.exact.ppjoin import PPJoin
+from repro.hashing.minhash import check_hash_keys, pack_tokens
 from repro.obs.bridge import record_join_stats
 from repro.result import JoinResult, JoinStats, canonical_pair
 
@@ -295,6 +296,10 @@ def similarity_join_rs(
 
     name = algorithm.lower()
     if name in NATIVE_RS_ALGORITHMS:
+        # The hashing joins refuse unhashable tokens; checked per side, the
+        # error names the record as its own side indexes it.
+        check_hash_keys(*pack_tokens(normalized_left), "left record")
+        check_hash_keys(*pack_tokens(normalized_right), "right record")
         sides = [0] * split + [1] * len(normalized_right)
         union_result = _dispatch_join(
             union,

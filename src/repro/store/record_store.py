@@ -48,13 +48,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.datasets.base import Record
-from repro.hashing.minhash import MinHasher, check_hash_keys
+from repro.hashing.minhash import MinHasher, pack_tokens
 from repro.hashing.sketch import build_sketches
 from repro.result import Timer
 
@@ -301,24 +300,22 @@ class RecordStore:
         seed: Optional[int] = None,
         sides: Optional[np.ndarray] = None,
     ) -> "RecordStore":
-        """Build a store from already normalized (sorted, distinct) records."""
-        offsets = np.zeros(len(normalized) + 1, dtype=np.int64)
-        np.cumsum([len(record) for record in normalized], out=offsets[1:])
-        tokens = (token for record in normalized for token in record)
-        try:
-            values = np.fromiter(tokens, dtype=np.int64, count=int(offsets[-1]))
-        except OverflowError:  # a token beyond int64: the range check names it
-            values = np.array([token for record in normalized for token in record], dtype=object)
-        check_hash_keys(values, offsets)
+        """Build a store from already normalized (sorted, distinct) records.
+
+        The signatures are hashed from the store's own CSR arrays; a token
+        outside ``[0, 2**32)`` is refused first, naming its record
+        (:func:`repro.hashing.minhash.check_hash_keys`).
+        """
+        values, offsets = pack_tokens(normalized)
         with Timer() as timer:
             minhasher = MinHasher(num_functions=embedding_size, seed=seed)
-            signatures = minhasher.signatures(normalized)
+            signature_matrix = minhasher.signature_matrix(values, offsets)
             sketch_seed = None if seed is None else seed + 0x5EED
-            sketches = build_sketches(signatures.matrix, num_words=sketch_words, seed=sketch_seed)
+            sketches = build_sketches(signature_matrix, num_words=sketch_words, seed=sketch_seed)
         return cls(
             token_values=values,
             token_offsets=offsets,
-            signature_matrix=signatures.matrix,
+            signature_matrix=signature_matrix,
             sketch_words=sketches.words,
             sides=sides,
             preprocessing_seconds=timer.elapsed,
@@ -363,19 +360,22 @@ class RecordStore:
     # ------------------------------------------------------------------ growth
     def append(
         self,
-        records: Sequence[Record],
+        values: np.ndarray,
+        offsets: np.ndarray,
         sketch_words: Optional[np.ndarray] = None,
         measure_sizes: Optional[Sequence[float]] = None,
     ) -> None:
-        """Append normalized records; they get ids ``num_records`` onward.
+        """Append CSR-packed normalized records; they get ids ``num_records`` onward.
 
-        Every column grows by amortized doubling behind its attribute, which
-        stays an exact-length array: views taken before the append keep
-        their contents.  The caller supplies the rows of the derived
-        columns the store keeps (sketch words when it has any, measure sizes
-        when present); the signature column must be empty, as in every
-        store that grows.  Attached shared-memory stores and R ⋈ S stores
-        are read-only.
+        ``values`` / ``offsets`` are the block as
+        :func:`repro.hashing.minhash.pack_tokens` packs it (its record ``i``
+        is ``values[offsets[i] : offsets[i + 1]]``).  Every column grows by
+        amortized doubling behind its attribute, which stays an exact-length
+        array: views taken before the append keep their contents.  The
+        caller supplies the rows of the derived columns the store keeps
+        (sketch words when it has any, measure sizes when present); the
+        signature column must be empty, as in every store that grows.
+        Attached shared-memory stores and R ⋈ S stores are read-only.
         """
         if self._segment is not None or self.sides is not None:
             raise ValueError("shared-memory and R ⋈ S stores are read-only")
@@ -384,16 +384,10 @@ class RecordStore:
         kept = (self.sketch_words.shape[1] > 0, self.measure_sizes is not None)
         if kept != (sketch_words is not None, measure_sizes is not None):
             raise ValueError("append needs rows for exactly the derived columns this store keeps")
-        count = len(records)
-        lengths = [len(record) for record in records]
-        offsets = np.fromiter(
-            accumulate(lengths, initial=int(self.token_offsets[-1])), dtype=np.int64, count=count + 1
-        )
-        total = int(offsets[-1] - offsets[0])
         grown = [
-            ("token_values", np.fromiter(chain.from_iterable(records), dtype=np.int64, count=total)),
-            ("token_offsets", offsets[1:]),
-            ("sizes", lengths),
+            ("token_values", values),
+            ("token_offsets", offsets[1:] + self.token_offsets[-1]),
+            ("sizes", offsets[1:] - offsets[:-1]),
             ("sketch_words", sketch_words),
             ("measure_sizes", measure_sizes),
         ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from oracles import ScalarBackend
+from oracles.estimator import scalar_average_similarity_sampled
 
 from repro.backend import ExecutionBackend, check_backend, make_backend
 from repro.core.preprocess import preprocess_collection
@@ -182,6 +183,32 @@ class TestRowKernels:
         backend = ExecutionBackend(collection, 0.5)
         assert _all_pairs(backend, [], True, 0.3) == (0, 0, set())
         assert _all_pairs(backend, [4], True, 0.3) == (0, 0, set())
+
+
+class TestSampledEstimator:
+    @pytest.fixture(scope="class", params=[1, 8, 40], ids=["l1", "l8", "l40"])
+    def estimated(self, request):
+        # 2,500 records: the whole collection spans three lookup blocks.
+        # ℓ = 40 needs table keys wider than uint16.
+        rng = np.random.default_rng(11)
+        records = [
+            tuple(rng.choice(400, size=int(rng.integers(1, 30)), replace=False).tolist())
+            for _ in range(2500)
+        ]
+        return preprocess_collection(records, sketch_words=request.param, seed=5)
+
+    @pytest.mark.parametrize("size", [2, 63, 64, 300, 626, 1500, 2500])
+    def test_matches_scalar_oracle_bit_for_bit(self, estimated, size) -> None:
+        # Sizes from a pair through the sample size to at least n/4 and the
+        # whole collection; the subset is unsorted, like the walk's.
+        subset = np.random.default_rng(size).permutation(estimated.num_records)[:size]
+        backend = make_backend(None, estimated, 0.5)
+        for seed in range(3):
+            got = backend.average_similarity_sampled(subset, 64, np.random.default_rng(seed))
+            expected = scalar_average_similarity_sampled(
+                estimated, subset, 64, np.random.default_rng(seed)
+            )
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestGroupRowsFirstOccurrence:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.hashing.minhash import MinHasher, MinHashSignatures
+from repro.hashing.tabulation import TabulationHashFamily
 from repro.similarity.measures import jaccard_similarity
 
 
@@ -62,6 +65,71 @@ class TestMinHasher:
         signatures = hasher.signatures([first, second])
         estimate = signatures.estimate_jaccard(0, 1)
         assert abs(estimate - expected) < 0.08
+
+
+class TestSignatureKernel:
+    def test_matches_scalar_tabulation(self) -> None:
+        # Coordinate i is min over the tokens of the XOR of function i's
+        # four character-table words; the hasher draws its tables from
+        # TabulationHashFamily(seed).sample_tables(t).
+        records = [[3], [99, 12345, 2**32 - 1], [0, 7, 7, 255, 256, 65536]]
+        matrix = MinHasher(num_functions=6, seed=21).signatures(records).matrix
+        tables = TabulationHashFamily(21).sample_tables(6)
+        for row, record in zip(matrix.tolist(), records):
+            expected = [
+                min(
+                    int(
+                        tables[i, 0, token & 0xFF]
+                        ^ tables[i, 1, (token >> 8) & 0xFF]
+                        ^ tables[i, 2, (token >> 16) & 0xFF]
+                        ^ tables[i, 3, token >> 24]
+                    )
+                    for token in record
+                )
+                for i in range(6)
+            ]
+            assert row == expected
+
+    def test_signatures_equal_one_row_signatures(self) -> None:
+        hasher = MinHasher(num_functions=16, seed=4)
+        records = [[5], [1, 2, 3], list(range(3000)), [9, 8]]
+        matrix = hasher.signatures(records).matrix
+        for row, record in zip(matrix, records):
+            assert row.tolist() == hasher.signature(record).tolist()
+
+    def test_pickles_keep_the_sampled_table_layout(self) -> None:
+        # Saved indexes pickle their hashers: the state keeps the
+        # (t, 4, 256) layout of sample_tables whatever layout the kernel uses.
+        hasher = MinHasher(num_functions=6, seed=21)
+        state = hasher.__getstate__()
+        assert np.array_equal(state["_tables"], TabulationHashFamily(21).sample_tables(6))
+        restored = pickle.loads(pickle.dumps(hasher))
+        assert restored.signature([1, 2, 3]).tolist() == hasher.signature([1, 2, 3]).tolist()
+
+    def test_no_records_give_an_empty_matrix(self) -> None:
+        assert MinHasher(num_functions=8, seed=1).signatures([]).matrix.shape == (0, 8)
+
+    def test_empty_record_named(self) -> None:
+        with pytest.raises(ValueError, match="record 1 is empty"):
+            MinHasher(num_functions=8, seed=1).signatures([[1], []])
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([[1, 2**32]], r"^record 0 has token 4294967296, outside \[0, 2\*\*32\)"),
+            ([[5], [-1, 3]], r"^record 1 has token -1, outside \[0, 2\*\*32\)"),
+            ([[5], [1, 2**70]], r"^record 1 has token 1180591620717411303424, outside"),
+        ],
+    )
+    def test_signatures_refuse_unhashable_tokens(self, records, message) -> None:
+        # Cast to 32-bit keys, these tokens would wrap silently.
+        with pytest.raises(ValueError, match=message):
+            MinHasher(num_functions=8, seed=1).signatures(records)
+
+    @pytest.mark.parametrize("token", [2**32, -1])
+    def test_signature_refuses_unhashable_token(self, token) -> None:
+        with pytest.raises(ValueError, match=rf"^record 0 has token {token}, outside"):
+            MinHasher(num_functions=8, seed=1).signature([token, 3])
 
 
 class TestMinHashSignatures:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hashing.tabulation import TabulationHash, TabulationHashFamily, tabulate_many_functions
+from repro.hashing.tabulation import TabulationHash, TabulationHashFamily
 
 
 class TestTabulationHash:
@@ -80,22 +80,3 @@ class TestTabulationHashFamily:
         with pytest.raises(ValueError):
             TabulationHashFamily(5).sample_tables(-2)
 
-
-class TestTabulateManyFunctions:
-    def test_matches_single_function_evaluation(self) -> None:
-        family = TabulationHashFamily(21)
-        tables = family.sample_tables(4)
-        keys = np.array([3, 99, 12345], dtype=np.uint32)
-        values = tabulate_many_functions(tables, keys)
-        assert values.shape == (4, 3)
-        # Re-evaluate one function by building a TabulationHash with the same tables.
-        manual = np.zeros(3, dtype=np.uint64)
-        for position in range(4):
-            characters = (keys >> np.uint32(8 * position)) & np.uint32(0xFF)
-            manual ^= tables[0, position][characters]
-        assert values[0].tolist() == manual.tolist()
-
-    def test_empty_keys(self) -> None:
-        tables = TabulationHashFamily(1).sample_tables(2)
-        values = tabulate_many_functions(tables, np.array([], dtype=np.uint32))
-        assert values.shape == (2, 0)

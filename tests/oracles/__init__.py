@@ -11,7 +11,9 @@ oracles:
   depth-first Chosen Path recursion the array frontier must reproduce task
   for task;
 * :mod:`oracles.minhash` — dict-based MinHash LSH bucketing;
-* :mod:`oracles.bayeslsh` — BayesLSH's word-by-word posterior check.
+* :mod:`oracles.bayeslsh` — BayesLSH's word-by-word posterior check;
+* :mod:`oracles.estimator` — the sampled average-similarity estimator,
+  pair by pair on big-integer sketches (compared directly, not installed).
 
 :func:`install` swaps them into every join, so a whole join (counters
 included) can be compared against the reference.  Oracle runs use

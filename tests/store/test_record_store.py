@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.preprocess import preprocess_collection
+from repro.hashing.minhash import pack_tokens
 from repro.store import RecordStore, StoreHandle
 
 
@@ -188,9 +189,9 @@ class TestGrowth:
 
     def test_block_and_single_appends_equal_a_build(self) -> None:
         store = empty_store()
-        store.append(self.RECORDS[:2])
+        store.append(*pack_tokens(self.RECORDS[:2]))
         for record in self.RECORDS[2:]:
-            store.append([record])
+            store.append(*pack_tokens([record]))
         built = RecordStore.build(self.RECORDS, seed=1)
         assert store.num_records == len(self.RECORDS)
         assert np.array_equal(store.token_values, built.token_values)
@@ -201,10 +202,10 @@ class TestGrowth:
 
     def test_earlier_views_keep_their_contents(self) -> None:
         store = empty_store(sketch_words=1)
-        store.append(self.RECORDS[:2], np.array([[5], [6]], dtype=np.uint64))
+        store.append(*pack_tokens(self.RECORDS[:2]), np.array([[5], [6]], dtype=np.uint64))
         values, sketches = store.token_values, store.sketch_words
         for position, record in enumerate(self.RECORDS[2:]):
-            store.append([record], np.array([[position]], dtype=np.uint64))
+            store.append(*pack_tokens([record]), np.array([[position]], dtype=np.uint64))
         assert values.tolist() == [1, 2, 3, 4, 5]
         assert sketches.tolist() == [[5], [6]]
         assert store.sketch_words[:, 0].tolist() == [5, 6, 0, 1, 2]
@@ -212,34 +213,34 @@ class TestGrowth:
     def test_capacity_doubles_and_never_pickles(self) -> None:
         store = empty_store(weighted=True)
         for record in self.RECORDS * 20:
-            store.append([record], measure_sizes=[float(len(record))])
+            store.append(*pack_tokens([record]), measure_sizes=[float(len(record))])
         capacity = store._capacity["token_values"].shape[0]
         assert store.token_values.shape[0] < capacity < 2 * store.token_values.shape[0]
         restored = pickle.loads(pickle.dumps(store))
         assert restored._capacity == {}
         for name in ("token_values", "token_offsets", "sizes", "measure_sizes"):
             assert np.array_equal(getattr(restored, name), getattr(store, name))
-        restored.append([(99,)], measure_sizes=[1.0])
+        restored.append(*pack_tokens([(99,)]), measure_sizes=[1.0])
         assert restored.record_tuples()[-1] == (99,)
 
     def test_rows_required_for_exactly_the_kept_columns(self) -> None:
         with pytest.raises(ValueError, match="derived columns"):
-            empty_store(sketch_words=2).append([(1, 2)])
+            empty_store(sketch_words=2).append(*pack_tokens([(1, 2)]))
         with pytest.raises(ValueError, match="derived columns"):
-            empty_store().append([(1, 2)], measure_sizes=[2.0])
+            empty_store().append(*pack_tokens([(1, 2)]), measure_sizes=[2.0])
         with pytest.raises(ValueError, match="derived columns"):
-            empty_store(weighted=True).append([(1, 2)])
+            empty_store(weighted=True).append(*pack_tokens([(1, 2)]))
 
     def test_join_and_attached_stores_do_not_grow(self, store: RecordStore) -> None:
         with pytest.raises(ValueError, match="signatures"):
-            store.append([(1, 2)], np.zeros((1, 2), dtype=np.uint64))
+            store.append(*pack_tokens([(1, 2)]), np.zeros((1, 2), dtype=np.uint64))
         grown = empty_store()
-        grown.append(self.RECORDS)
+        grown.append(*pack_tokens(self.RECORDS))
         with grown.to_shared() as lease:
             attached = RecordStore.attach(lease.handle)
             try:
                 with pytest.raises(ValueError, match="read-only"):
-                    attached.append([(1, 2)])
+                    attached.append(*pack_tokens([(1, 2)]))
                 assert attached.record_tuples() == grown.record_tuples()
             finally:
                 attached.close()

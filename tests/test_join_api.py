@@ -76,8 +76,11 @@ class TestSimilarityJoin:
         message = rf"record 1 has token {token}, outside \[0, 2\*\*32\)"
         with pytest.raises(ValueError, match=message):
             similarity_join([(1, 2, 3), (1, 2, token)], 0.5, algorithm=algorithm, seed=0)
-        with pytest.raises(ValueError, match=message):
+        # R ⋈ S names the offender by its index on its own side.
+        with pytest.raises(ValueError, match=rf"^right record 0 has token {token},"):
             similarity_join_rs([(1, 2, 3)], [(1, 2, token)], 0.5, algorithm=algorithm, seed=0)
+        with pytest.raises(ValueError, match=rf"^left record 1 has token {token},"):
+            similarity_join_rs([(1, 2, 3), (4, token)], [(1, 2)], 0.5, algorithm=algorithm, seed=0)
 
     @pytest.mark.parametrize("algorithm", ["allpairs", "ppjoin", "naive"])
     def test_exact_joins_take_64_bit_tokens(self, algorithm) -> None:
